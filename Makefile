@@ -12,7 +12,8 @@
 #   make fmt          gofmt diff gate (fails if any file needs formatting)
 #   make check        all of the above
 #   make bench        data-plane benchmarks (pipe, relay, multipath, gateway
-#                     dial, chain dial)
+#                     dial, chain dial, probe round) plus the simulator hot
+#                     path (core.MeasurePair)
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
 #   make bench-smoke  chain gate: the chain failover e2e under -race plus
@@ -61,7 +62,7 @@ fmt:
 check: fmt vet test race
 
 bench:
-	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound' -benchmem ./...
+	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair' -benchmem ./...
 
 # The alloc gate runs without -race (the race runtime adds allocations of
 # its own); the e2e runs with it.

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,7 +14,7 @@ import (
 	"cronets/internal/topology"
 )
 
-func testNet(t *testing.T) (*topology.Internet, *CRONet) {
+func testNet(t testing.TB) (*topology.Internet, *CRONet) {
 	t.Helper()
 	cfg := topology.DefaultConfig(42)
 	cfg.ClientStubs = 8
@@ -194,5 +198,78 @@ func TestTunnelHeaderApplied(t *testing.T) {
 	if b.Plain.ThroughputMbps >= a.Plain.ThroughputMbps {
 		t.Errorf("big tunnel header did not reduce plain throughput: %v vs %v",
 			b.Plain.ThroughputMbps, a.Plain.ThroughputMbps)
+	}
+}
+
+// resultDigest hashes every result bit of the given pairs: FNV-64a over the
+// throughput and retransmission-rate bits and the average RTT of each
+// measurement, direct first, then plain/split/discrete per overlay.
+func resultDigest(prs []PairResult) string {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(m Measurement) {
+		for _, v := range []uint64{math.Float64bits(m.ThroughputMbps), math.Float64bits(m.RetransRate), uint64(m.AvgRTT)} {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+	}
+	for _, pr := range prs {
+		put(pr.Direct)
+		for _, o := range pr.Overlays {
+			put(o.Plain)
+			put(o.Split)
+			put(o.Discrete)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// goldenDigest pins the simulator's output for the pairs measured by
+// TestMeasurePairGolden. Optimisations of the simulator must keep it
+// bit-identical; only a deliberate model change may re-record it.
+const goldenDigest = "7e201f77895699b2"
+
+// TestMeasurePairGolden pins MeasurePair's results bit for bit on fixed
+// (server, client, seed) triples.
+func TestMeasurePairGolden(t *testing.T) {
+	in, cn := testNet(t)
+	triples := []struct {
+		server, client int
+		seed           int64
+	}{
+		{0, 0, 1},
+		{1, 3, 2},
+		{2, 6, 3},
+	}
+	var prs []PairResult
+	for _, tr := range triples {
+		pr, err := cn.MeasurePair(rand.New(rand.NewSource(tr.seed)), in.Servers[tr.server], in.Clients[tr.client],
+			cn.DCCities(), tcpsim.Spec{Duration: 10 * time.Second}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prs = append(prs, pr)
+	}
+	if got := resultDigest(prs); got != goldenDigest {
+		t.Errorf("result digest = %s, want %s", got, goldenDigest)
+	}
+}
+
+// BenchmarkMeasurePair times one MeasurePair (direct plus every overlay) of
+// a 100 MB, two-minute-capped download per iteration on a fixed pair and
+// seed, with the pair's routes computed before the timer starts.
+func BenchmarkMeasurePair(b *testing.B) {
+	in, cn := testNet(b)
+	spec := tcpsim.Spec{TransferBytes: 100 << 20, Duration: 2 * time.Minute}
+	src, dst, dcs := in.Servers[0], in.Clients[0], cn.DCCities()
+	if _, err := cn.MeasurePair(rand.New(rand.NewSource(1)), src, dst, dcs, spec, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cn.MeasurePair(rand.New(rand.NewSource(1)), src, dst, dcs, spec, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

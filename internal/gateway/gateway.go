@@ -373,11 +373,13 @@ func (g *Gateway) dialRoute(ctx context.Context, r pathmon.Route) (conn net.Conn
 // Serve runs listener mode: every accepted connection is dialed through
 // Dial and piped to the destination. Established flows keep their path;
 // re-ranking only steers subsequent accepts. It always returns a non-nil
-// error (ErrGatewayClosed after a clean shutdown).
+// error (ErrGatewayClosed after a clean shutdown). On a gateway that is
+// already closed it closes ln, as net/http.Server.Serve does.
 func (g *Gateway) Serve(ln net.Listener) error {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
+		_ = ln.Close()
 		return ErrGatewayClosed
 	}
 	g.ln = ln

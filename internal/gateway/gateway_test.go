@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"cronets/internal/measure"
 	"cronets/internal/obs"
 	"cronets/internal/pathmon"
-	"cronets/internal/pipe"
 	"cronets/internal/relay"
 )
 
@@ -31,7 +31,7 @@ func echoServer(t testing.TB) net.Addr {
 			}
 			go func() {
 				defer c.Close()
-				_, _ = pipe.CopyMetered(c, c, pipe.CopyOptions{})
+				_, _ = io.Copy(c, c)
 				if tc, ok := c.(*net.TCPConn); ok {
 					_ = tc.CloseWrite()
 				}
@@ -407,6 +407,30 @@ func TestTrackAfterCloseClosesConn(t *testing.T) {
 	_ = remote.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := remote.Read(make([]byte, 1)); err == nil {
 		t.Fatal("conn tracked after Close was left open")
+	}
+}
+
+// TestServeAfterCloseClosesListener: Serve on a closed gateway returns
+// ErrGatewayClosed and, like net/http.Server.Serve, closes the listener it
+// was handed instead of leaking it.
+func TestServeAfterCloseClosesListener(t *testing.T) {
+	g, err := New(Config{Dest: "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := g.Serve(ln); err != ErrGatewayClosed {
+		t.Fatalf("Serve after Close = %v, want ErrGatewayClosed", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Accept on the served listener = %v, want net.ErrClosed", err)
 	}
 }
 

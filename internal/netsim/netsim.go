@@ -158,8 +158,12 @@ func (l *Link) UtilizationAt(t time.Duration) float64 {
 // loss plus congestion loss, which grows quadratically once utilization
 // exceeds the knee.
 func (l *Link) LossRateAt(t time.Duration) float64 {
+	return l.lossRate(l.UtilizationAt(t), t)
+}
+
+// lossRate is LossRateAt for an already-computed utilization u at time t.
+func (l *Link) lossRate(u float64, t time.Duration) float64 {
 	loss := l.BaseLossRate
-	u := l.UtilizationAt(t)
 	if u > congLossKnee {
 		x := (u - congLossKnee) / (1 - congLossKnee)
 		loss += congLossMax * x * x
@@ -179,7 +183,11 @@ func (l *Link) LossRateAt(t time.Duration) float64 {
 // M/M/1-flavored convex curve u/(1-u), scaled so that MaxQueueDelay is
 // reached at the utilization cap.
 func (l *Link) QueueDelayAt(t time.Duration) time.Duration {
-	u := l.UtilizationAt(t)
+	return l.queueDelay(l.UtilizationAt(t))
+}
+
+// queueDelay is QueueDelayAt for an already-computed utilization u.
+func (l *Link) queueDelay(u float64) time.Duration {
 	if u <= 0 {
 		return 0
 	}
@@ -191,7 +199,12 @@ func (l *Link) QueueDelayAt(t time.Duration) time.Duration {
 
 // AvailableMbps returns the capacity left for foreground traffic at time t.
 func (l *Link) AvailableMbps(t time.Duration) float64 {
-	return l.CapacityMbps * (1 - l.UtilizationAt(t))
+	return l.availableMbps(l.UtilizationAt(t))
+}
+
+// availableMbps is AvailableMbps for an already-computed utilization u.
+func (l *Link) availableMbps(u float64) float64 {
+	return l.CapacityMbps * (1 - u)
 }
 
 // Network is a graph of nodes and undirected links.
@@ -349,30 +362,61 @@ type Metrics struct {
 func (m Metrics) RTT() time.Duration { return m.BaseRTT + m.QueueDelayRTT }
 
 // PathMetrics composes the metrics of the links along p at simulation time t.
-// Loss composes as 1 - prod(1 - loss_i); delays add; bandwidths take the min.
+// It is ResolvePath followed by MetricsAt; callers sampling one path many
+// times should resolve it once instead.
 func (n *Network) PathMetrics(p Path, t time.Duration) (Metrics, error) {
-	if len(p.Nodes) < 2 {
-		return Metrics{}, fmt.Errorf("netsim: path needs at least 2 nodes, got %d", len(p.Nodes))
+	r, err := n.ResolvePath(p)
+	if err != nil {
+		return Metrics{}, err
 	}
-	m := Metrics{BottleneckMbps: -1, AvailableMbps: -1, Hops: p.Hops()}
-	survive := 1.0
+	return r.MetricsAt(t), nil
+}
+
+// ResolvedPath is a Path whose links have been looked up once, so sampling
+// its metrics costs no map lookups. It holds the live links: congestion
+// events added to them later are seen, but a link replaced in the network
+// by AddLink after resolution is not.
+type ResolvedPath struct {
+	links []*Link
+}
+
+// ResolvePath looks up the links along p in path order. It fails if p has
+// fewer than two nodes or two consecutive nodes are not linked.
+func (n *Network) ResolvePath(p Path) (ResolvedPath, error) {
+	if len(p.Nodes) < 2 {
+		return ResolvedPath{}, fmt.Errorf("netsim: path needs at least 2 nodes, got %d", len(p.Nodes))
+	}
+	links := make([]*Link, 0, p.Hops())
 	for i := 1; i < len(p.Nodes); i++ {
 		l, ok := n.Link(p.Nodes[i-1], p.Nodes[i])
 		if !ok {
-			return Metrics{}, fmt.Errorf("netsim: no link %d-%d on path", p.Nodes[i-1], p.Nodes[i])
+			return ResolvedPath{}, fmt.Errorf("netsim: no link %d-%d on path", p.Nodes[i-1], p.Nodes[i])
 		}
+		links = append(links, l)
+	}
+	return ResolvedPath{links: links}, nil
+}
+
+// MetricsAt composes the metrics of the path's links at simulation time t,
+// evaluating each link's utilization once. Loss composes as
+// 1 - prod(1 - loss_i) in path order; delays add; bandwidths take the min.
+func (r ResolvedPath) MetricsAt(t time.Duration) Metrics {
+	m := Metrics{BottleneckMbps: -1, AvailableMbps: -1, Hops: len(r.links)}
+	survive := 1.0
+	for _, l := range r.links {
+		u := l.UtilizationAt(t)
 		m.BaseRTT += 2 * l.Delay
-		m.QueueDelayRTT += 2 * l.QueueDelayAt(t)
-		survive *= 1 - l.LossRateAt(t)
+		m.QueueDelayRTT += 2 * l.queueDelay(u)
+		survive *= 1 - l.lossRate(u, t)
 		if m.BottleneckMbps < 0 || l.CapacityMbps < m.BottleneckMbps {
 			m.BottleneckMbps = l.CapacityMbps
 		}
-		if avail := l.AvailableMbps(t); m.AvailableMbps < 0 || avail < m.AvailableMbps {
+		if avail := l.availableMbps(u); m.AvailableMbps < 0 || avail < m.AvailableMbps {
 			m.AvailableMbps = avail
 		}
 	}
 	m.LossRate = 1 - survive
-	return m, nil
+	return m
 }
 
 // Concat joins two paths sharing a pivot node (a ends where b begins). The

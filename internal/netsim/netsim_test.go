@@ -250,3 +250,92 @@ func TestMetricsRTT(t *testing.T) {
 		t.Errorf("RTT = %v", m.RTT())
 	}
 }
+
+// refMetrics composes p's metrics at t from the public per-link accessors,
+// in path order: the composition ResolvedPath.MetricsAt must reproduce bit
+// for bit while evaluating each link's utilization only once.
+func refMetrics(t *testing.T, n *Network, p Path, at time.Duration) Metrics {
+	t.Helper()
+	m := Metrics{BottleneckMbps: -1, AvailableMbps: -1, Hops: p.Hops()}
+	survive := 1.0
+	for i := 1; i < len(p.Nodes); i++ {
+		l, ok := n.Link(p.Nodes[i-1], p.Nodes[i])
+		if !ok {
+			t.Fatalf("no link %d-%d", p.Nodes[i-1], p.Nodes[i])
+		}
+		m.BaseRTT += 2 * l.Delay
+		m.QueueDelayRTT += 2 * l.QueueDelayAt(at)
+		survive *= 1 - l.LossRateAt(at)
+		if m.BottleneckMbps < 0 || l.CapacityMbps < m.BottleneckMbps {
+			m.BottleneckMbps = l.CapacityMbps
+		}
+		if avail := l.AvailableMbps(at); m.AvailableMbps < 0 || avail < m.AvailableMbps {
+			m.AvailableMbps = avail
+		}
+	}
+	m.LossRate = 1 - survive
+	return m
+}
+
+// TestResolvedPathBitIdentical: MetricsAt equals the per-accessor reference
+// exactly on a path with diurnal swings and a congestion event that pushes
+// one link past the loss knee, before, during and after the event and
+// across a diurnal half-period.
+func TestResolvedPathBitIdentical(t *testing.T) {
+	i := 0
+	n, ids := buildLine(t, func(a, b NodeID) Link {
+		l := simpleLink(a, b)
+		l.BaseUtilization = 0.45 + 0.1*float64(i)
+		l.BaseLossRate = 0.0007 * float64(i+1)
+		l.CapacityMbps = 100 - 15*float64(i)
+		l.MaxQueueDelay = time.Duration(5+7*i) * time.Millisecond
+		l.DiurnalAmplitude = 0.2 + 0.05*float64(i)
+		l.DiurnalPhase = 0.3 * float64(i)
+		i++
+		return l
+	})
+	mid, _ := n.Link(ids[1], ids[2])
+	mid.AddEvent(CongestionEvent{Start: 2 * time.Hour, End: 5 * time.Hour, ExtraUtilization: 0.3, ExtraLoss: 0.004})
+
+	p := Path{Nodes: ids}
+	r, err := n.ResolvePath(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []time.Duration{0, time.Hour, 2 * time.Hour, 3*time.Hour + 17*time.Second, 5*time.Hour - time.Nanosecond, 5 * time.Hour, 9 * time.Hour}
+	for h := time.Duration(0); h <= 12*time.Hour; h += 90 * time.Minute {
+		times = append(times, h+1234*time.Millisecond)
+	}
+	for _, at := range times {
+		want := refMetrics(t, n, p, at)
+		if got := r.MetricsAt(at); got != want {
+			t.Errorf("MetricsAt(%v) = %+v, want %+v", at, got, want)
+		}
+		if got, err := n.PathMetrics(p, at); err != nil || got != want {
+			t.Errorf("PathMetrics(%v) = %+v, %v, want %+v", at, got, err, want)
+		}
+	}
+	// The event must actually have moved the path past the loss knee.
+	if during, after := r.MetricsAt(3*time.Hour), r.MetricsAt(5*time.Hour); during.LossRate <= after.LossRate {
+		t.Errorf("event did not raise loss: during %v, after %v", during.LossRate, after.LossRate)
+	}
+}
+
+func TestResolvePathErrors(t *testing.T) {
+	n, ids := buildLine(t, simpleLink)
+	tests := []struct {
+		p    Path
+		want string
+	}{
+		{Path{Nodes: ids[:1]}, "netsim: path needs at least 2 nodes, got 1"},
+		{Path{Nodes: []NodeID{ids[0], ids[2]}}, "netsim: no link 0-2 on path"},
+	}
+	for _, tt := range tests {
+		if _, err := n.ResolvePath(tt.p); err == nil || err.Error() != tt.want {
+			t.Errorf("ResolvePath(%v) error = %v, want %q", tt.p.Nodes, err, tt.want)
+		}
+		if _, err := n.PathMetrics(tt.p, 0); err == nil || err.Error() != tt.want {
+			t.Errorf("PathMetrics(%v) error = %v, want %q", tt.p.Nodes, err, tt.want)
+		}
+	}
+}

@@ -235,50 +235,6 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// CopyOptions configures CopyMetered.
-type CopyOptions struct {
-	// BufferBytes sizes the pooled copy buffer (default
-	// DefaultBufferBytes).
-	BufferBytes int
-	// Count, if set, is incremented live with every write.
-	Count *atomic.Int64
-}
-
-// CopyMetered copies src to dst through a pooled buffer until EOF,
-// returning the bytes written — the one-directional sibling of
-// Bidirectional for metered single-direction paths (sinks, echo servers,
-// drains). Like io.Copy, a clean source EOF is not an error.
-func CopyMetered(dst io.Writer, src io.Reader, opts CopyOptions) (int64, error) {
-	if opts.BufferBytes <= 0 {
-		opts.BufferBytes = DefaultBufferBytes
-	}
-	buf := Get(opts.BufferBytes)
-	defer Put(buf)
-	var n int64
-	for {
-		rn, rerr := src.Read(buf)
-		if rn > 0 {
-			nw, werr := dst.Write(buf[:rn])
-			n += int64(nw)
-			if opts.Count != nil {
-				opts.Count.Add(int64(nw))
-			}
-			if werr != nil {
-				return n, werr
-			}
-			if nw < rn {
-				return n, io.ErrShortWrite
-			}
-		}
-		if rerr != nil {
-			if rerr == io.EOF {
-				return n, nil
-			}
-			return n, rerr
-		}
-	}
-}
-
 // WithReader returns a net.Conn that reads from r but otherwise behaves as
 // conn, forwarding TCP half-close to the underlying connection. Callers
 // that buffered bytes during a handshake (relay CONNECT) use it to hand

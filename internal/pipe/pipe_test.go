@@ -538,32 +538,6 @@ func TestContextCancel(t *testing.T) {
 	}
 }
 
-// TestCopyMetered: pooled one-directional copy with a live counter, no
-// leaks.
-func TestCopyMetered(t *testing.T) {
-	payload := bytes.Repeat([]byte("metered "), 10000)
-	var count atomic.Int64
-	var dst bytes.Buffer
-	gets, returns := poolDelta(t, func() {
-		n, err := CopyMetered(&dst, bytes.NewReader(payload), CopyOptions{
-			BufferBytes: 2 << 10,
-			Count:       &count,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(len(payload)) || count.Load() != n {
-			t.Errorf("n=%d count=%d, want %d", n, count.Load(), len(payload))
-		}
-	})
-	if !bytes.Equal(dst.Bytes(), payload) {
-		t.Error("CopyMetered corrupted the stream")
-	}
-	if gets != returns {
-		t.Errorf("pool leak: %d gets, %d returns", gets, returns)
-	}
-}
-
 // TestWithReader: the wrapper replays a buffered prefix and still forwards
 // TCP half-close to the underlying connection.
 func TestWithReader(t *testing.T) {

@@ -23,8 +23,8 @@ import (
 // class fall through to plain allocation.
 var classSizes = [...]int{4 << 10, 32 << 10, 256 << 10}
 
-// DefaultBufferBytes is the copy-buffer size Bidirectional and CopyMetered
-// use when the caller does not specify one.
+// DefaultBufferBytes is the copy-buffer size Bidirectional uses when the
+// caller does not specify one.
 const DefaultBufferBytes = 32 << 10
 
 var (

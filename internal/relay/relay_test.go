@@ -13,8 +13,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"cronets/internal/pipe"
 )
 
 // echoServer accepts connections and echoes everything back.
@@ -32,7 +30,7 @@ func echoServer(t *testing.T) net.Listener {
 			}
 			go func() {
 				defer conn.Close()
-				_, _ = pipe.CopyMetered(conn, conn, pipe.CopyOptions{})
+				_, _ = io.Copy(conn, conn)
 			}()
 		}
 	}()

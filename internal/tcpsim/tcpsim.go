@@ -54,18 +54,15 @@ func StaticPath(m netsim.Metrics) PathFunc {
 
 // NetworkPath builds a PathFunc sampling the live metrics of path p in n,
 // offset by start (so longitudinal samples taken at different wall times see
-// different transient-event states).
+// different transient-event states). The path's links are resolved once
+// here, so an invalid path fails now and sampling costs no lookups.
 func NetworkPath(n *netsim.Network, p netsim.Path, start time.Duration) (PathFunc, error) {
-	if _, err := n.PathMetrics(p, start); err != nil {
+	r, err := n.ResolvePath(p)
+	if err != nil {
 		return nil, err
 	}
 	return func(at time.Duration) netsim.Metrics {
-		m, err := n.PathMetrics(p, start+at)
-		if err != nil {
-			// The path was validated above; composition cannot fail later.
-			return netsim.Metrics{}
-		}
-		return m
+		return r.MetricsAt(start + at)
 	}, nil
 }
 
