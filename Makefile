@@ -18,10 +18,13 @@
 #                     the unsampled-path zero-allocation check
 #   make bench-smoke  chain gate: the chain failover e2e under -race plus
 #                     the established-chain zero-allocation check
+#   make benchmark-smoke  the repository benchmark's short smoke tests (its
+#                     own module under benchmark/): flows_1hop's echo check
+#                     and sim_reallife's pinned seed-42 result digest
 
 GO ?= go
 
-.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke
+.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -76,3 +79,7 @@ trace-smoke:
 bench-smoke:
 	$(GO) test -race -run TestChainFailoverEndToEnd .
 	$(GO) test -run TestChainSpliceAllocs ./internal/chain/
+
+# The benchmark is a separate Go module, so the root ./... never reaches it.
+benchmark-smoke:
+	cd benchmark && $(GO) test -short ./...

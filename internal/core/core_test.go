@@ -201,27 +201,36 @@ func TestTunnelHeaderApplied(t *testing.T) {
 	}
 }
 
-// resultDigest hashes every result bit of the given pairs: FNV-64a over the
-// throughput and retransmission-rate bits and the average RTT of each
-// measurement, direct first, then plain/split/discrete per overlay.
-func resultDigest(prs []PairResult) string {
+// digest is FNV-64a over the little-endian bytes of vs.
+func digest(vs []uint64) string {
 	h := fnv.New64a()
 	var b [8]byte
-	put := func(m Measurement) {
-		for _, v := range []uint64{math.Float64bits(m.ThroughputMbps), math.Float64bits(m.RetransRate), uint64(m.AvgRTT)} {
-			binary.LittleEndian.PutUint64(b[:], v)
-			h.Write(b[:])
-		}
-	}
-	for _, pr := range prs {
-		put(pr.Direct)
-		for _, o := range pr.Overlays {
-			put(o.Plain)
-			put(o.Split)
-			put(o.Discrete)
-		}
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// appendMeasurement appends m's result bits to vs: the throughput and
+// retransmission-rate bits, then the average RTT.
+func appendMeasurement(vs []uint64, m Measurement) []uint64 {
+	return append(vs, math.Float64bits(m.ThroughputMbps), math.Float64bits(m.RetransRate), uint64(m.AvgRTT))
+}
+
+// resultDigest hashes every result bit of the given pairs: each
+// measurement's bits, direct first, then plain/split/discrete per overlay.
+func resultDigest(prs []PairResult) string {
+	var vs []uint64
+	for _, pr := range prs {
+		vs = appendMeasurement(vs, pr.Direct)
+		for _, o := range pr.Overlays {
+			vs = appendMeasurement(vs, o.Plain)
+			vs = appendMeasurement(vs, o.Split)
+			vs = appendMeasurement(vs, o.Discrete)
+		}
+	}
+	return digest(vs)
 }
 
 // goldenDigest pins the simulator's output for the pairs measured by
@@ -252,6 +261,46 @@ func TestMeasurePairGolden(t *testing.T) {
 	}
 	if got := resultDigest(prs); got != goldenDigest {
 		t.Errorf("result digest = %s, want %s", got, goldenDigest)
+	}
+}
+
+// mptcpGoldenDigest pins MeasureMPTCP's results for the runs of
+// TestMeasureMPTCPGolden; like goldenDigest, only a deliberate model change
+// may re-record it.
+const mptcpGoldenDigest = "121d4ea430bb008f"
+
+// TestMeasureMPTCPGolden pins MeasureMPTCP's results (the total, then every
+// subflow's throughput bits) on fixed pairs over the direct path plus every
+// overlay, in both of the paper's configurations: coupled OLIA over Reno
+// (Figure 12) and uncoupled per-subflow CUBIC (Figure 13).
+func TestMeasureMPTCPGolden(t *testing.T) {
+	in, cn := testNet(t)
+	runs := []struct {
+		server, client int
+		coupling       mptcpsim.Coupling
+		alg            tcpsim.Algorithm
+		seed           int64
+		at             time.Duration
+	}{
+		{0, 0, mptcpsim.OLIA, tcpsim.Reno, 1, 0},
+		{1, 3, mptcpsim.OLIA, tcpsim.Reno, 2, 7 * time.Hour},
+		{0, 0, mptcpsim.Uncoupled, tcpsim.Cubic, 1, 0},
+		{2, 6, mptcpsim.Uncoupled, tcpsim.Cubic, 3, 7 * time.Hour},
+	}
+	var vs []uint64
+	for _, r := range runs {
+		res, err := cn.MeasureMPTCP(rand.New(rand.NewSource(r.seed)), in.Servers[r.server], in.Clients[r.client],
+			cn.DCCities(), r.coupling, r.alg, 100, tcpsim.Spec{Duration: 10 * time.Second}, r.at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs = append(vs, math.Float64bits(res.TotalMbps))
+		for _, s := range res.SubflowMbps {
+			vs = append(vs, math.Float64bits(s))
+		}
+	}
+	if got := digest(vs); got != mptcpGoldenDigest {
+		t.Errorf("MPTCP digest = %s, want %s", got, mptcpGoldenDigest)
 	}
 }
 

@@ -69,3 +69,38 @@ func TestTwoHopSplitComparable(t *testing.T) {
 			two.Split.ThroughputMbps, one.Split.ThroughputMbps)
 	}
 }
+
+// twoHopGoldenDigest pins MeasureTwoHop's results for the runs of
+// TestMeasureTwoHopGolden; like goldenDigest, only a deliberate model change
+// may re-record it.
+const twoHopGoldenDigest = "eca478ec3ed046a5"
+
+// TestMeasureTwoHopGolden pins MeasureTwoHop's results (the split chain,
+// then the plain tunnel) bit for bit on fixed (server, client, DC pair,
+// seed, start time) runs.
+func TestMeasureTwoHopGolden(t *testing.T) {
+	in, cn := testNet(t)
+	runs := []struct {
+		server, client int
+		dc1, dc2       int
+		seed           int64
+		at             time.Duration
+	}{
+		{0, 0, 0, 1, 1, 0},
+		{1, 3, 2, 0, 2, 0},
+		{2, 6, 3, 4, 3, 7 * time.Hour},
+	}
+	var vs []uint64
+	for _, r := range runs {
+		m, err := cn.MeasureTwoHop(rand.New(rand.NewSource(r.seed)), in.Servers[r.server], in.Clients[r.client],
+			in.DCOrder[r.dc1], in.DCOrder[r.dc2], tcpsim.Spec{Duration: 10 * time.Second}, r.at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs = appendMeasurement(vs, m.Split)
+		vs = appendMeasurement(vs, m.Plain)
+	}
+	if got := digest(vs); got != twoHopGoldenDigest {
+		t.Errorf("two-hop digest = %s, want %s", got, twoHopGoldenDigest)
+	}
+}

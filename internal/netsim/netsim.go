@@ -135,9 +135,17 @@ const (
 // UtilizationAt returns the effective utilization at simulation time t,
 // including transient events, clamped to [0, maxUtilization].
 func (l *Link) UtilizationAt(t time.Duration) float64 {
+	return l.utilization(dayOf(t), t)
+}
+
+// dayOf converts simulation time t to days, the unit of the diurnal swing.
+func dayOf(t time.Duration) float64 { return t.Seconds() / (24 * 3600) }
+
+// utilization is UtilizationAt with t already converted to days, so a path
+// sampling many links at one time converts it once.
+func (l *Link) utilization(day float64, t time.Duration) float64 {
 	u := l.BaseUtilization
 	if l.DiurnalAmplitude != 0 {
-		day := t.Seconds() / (24 * 3600)
 		u += l.DiurnalAmplitude * math.Sin(2*math.Pi*(day+l.DiurnalPhase))
 	}
 	for _, e := range l.events {
@@ -375,9 +383,24 @@ func (n *Network) PathMetrics(p Path, t time.Duration) (Metrics, error) {
 // ResolvedPath is a Path whose links have been looked up once, so sampling
 // its metrics costs no map lookups. It holds the live links: congestion
 // events added to them later are seen, but a link replaced in the network
-// by AddLink after resolution is not.
+// by AddLink after resolution is not, and neither is a field of a resolved
+// link changed after resolution.
 type ResolvedPath struct {
-	links []*Link
+	links []resolvedLink
+}
+
+// resolvedLink is one link of a ResolvedPath. A link without a diurnal swing
+// or congestion events has the same utilization at every time, so its
+// per-sample values are computed once, at resolution, and used for as long
+// as it has no events.
+type resolvedLink struct {
+	*Link
+	fixed bool
+	// The fixed link's round-trip queueing delay, survival factor
+	// 1 - loss, and available Mbps.
+	queueRTT time.Duration
+	survive  float64
+	avail    float64
 }
 
 // ResolvePath looks up the links along p in path order. It fails if p has
@@ -386,32 +409,48 @@ func (n *Network) ResolvePath(p Path) (ResolvedPath, error) {
 	if len(p.Nodes) < 2 {
 		return ResolvedPath{}, fmt.Errorf("netsim: path needs at least 2 nodes, got %d", len(p.Nodes))
 	}
-	links := make([]*Link, 0, p.Hops())
+	links := make([]resolvedLink, 0, p.Hops())
 	for i := 1; i < len(p.Nodes); i++ {
 		l, ok := n.Link(p.Nodes[i-1], p.Nodes[i])
 		if !ok {
 			return ResolvedPath{}, fmt.Errorf("netsim: no link %d-%d on path", p.Nodes[i-1], p.Nodes[i])
 		}
-		links = append(links, l)
+		r := resolvedLink{Link: l}
+		if l.DiurnalAmplitude == 0 && len(l.events) == 0 {
+			u := l.UtilizationAt(0) // the same at every time
+			r.fixed = true
+			r.queueRTT = 2 * l.queueDelay(u)
+			r.survive = 1 - l.lossRate(u, 0)
+			r.avail = l.availableMbps(u)
+		}
+		links = append(links, r)
 	}
 	return ResolvedPath{links: links}, nil
 }
 
 // MetricsAt composes the metrics of the path's links at simulation time t,
-// evaluating each link's utilization once. Loss composes as
+// evaluating each link's utilization at most once. Loss composes as
 // 1 - prod(1 - loss_i) in path order; delays add; bandwidths take the min.
 func (r ResolvedPath) MetricsAt(t time.Duration) Metrics {
 	m := Metrics{BottleneckMbps: -1, AvailableMbps: -1, Hops: len(r.links)}
+	day := dayOf(t)
 	survive := 1.0
-	for _, l := range r.links {
-		u := l.UtilizationAt(t)
+	for i := range r.links {
+		l := &r.links[i]
+		queueRTT, keep, avail := l.queueRTT, l.survive, l.avail
+		if !l.fixed || len(l.events) != 0 {
+			u := l.utilization(day, t)
+			queueRTT = 2 * l.queueDelay(u)
+			keep = 1 - l.lossRate(u, t)
+			avail = l.availableMbps(u)
+		}
 		m.BaseRTT += 2 * l.Delay
-		m.QueueDelayRTT += 2 * l.queueDelay(u)
-		survive *= 1 - l.lossRate(u, t)
+		m.QueueDelayRTT += queueRTT
+		survive *= keep
 		if m.BottleneckMbps < 0 || l.CapacityMbps < m.BottleneckMbps {
 			m.BottleneckMbps = l.CapacityMbps
 		}
-		if avail := l.availableMbps(u); m.AvailableMbps < 0 || avail < m.AvailableMbps {
+		if m.AvailableMbps < 0 || avail < m.AvailableMbps {
 			m.AvailableMbps = avail
 		}
 	}

@@ -10,8 +10,15 @@ import (
 // buildLine creates a 4-node line network A-B-C-D with uniform links.
 func buildLine(t *testing.T, mk func(a, b NodeID) Link) (*Network, []NodeID) {
 	t.Helper()
+	return buildLineOf(t, 4, mk)
+}
+
+// buildLineOf creates a line network of the given number of nodes, linking
+// each node to the next with mk.
+func buildLineOf(t *testing.T, nodes int, mk func(a, b NodeID) Link) (*Network, []NodeID) {
+	t.Helper()
 	n := New()
-	ids := make([]NodeID, 4)
+	ids := make([]NodeID, nodes)
 	for i := range ids {
 		ids[i] = n.AddNode(Node{Name: string(rune('A' + i)), Kind: KindRouter})
 	}
@@ -278,46 +285,68 @@ func refMetrics(t *testing.T, n *Network, p Path, at time.Duration) Metrics {
 }
 
 // TestResolvedPathBitIdentical: MetricsAt equals the per-accessor reference
-// exactly on a path with diurnal swings and a congestion event that pushes
-// one link past the loss knee, before, during and after the event and
-// across a diurnal half-period.
+// exactly on a path that mixes links with diurnal swings and links without
+// (whose values ResolvePath snapshots), with a congestion event that pushes a
+// diurnal link past the loss knee, before, during and after the event and
+// across a diurnal half-period. It then adds an event to a snapshotted link
+// after resolution: MetricsAt must see it, before, during and after it.
 func TestResolvedPathBitIdentical(t *testing.T) {
 	i := 0
-	n, ids := buildLine(t, func(a, b NodeID) Link {
+	n, ids := buildLineOf(t, 7, func(a, b NodeID) Link {
 		l := simpleLink(a, b)
-		l.BaseUtilization = 0.45 + 0.1*float64(i)
+		l.BaseUtilization = 0.45 + 0.07*float64(i)
 		l.BaseLossRate = 0.0007 * float64(i+1)
-		l.CapacityMbps = 100 - 15*float64(i)
+		l.CapacityMbps = 100 - 12*float64(i)
 		l.MaxQueueDelay = time.Duration(5+7*i) * time.Millisecond
-		l.DiurnalAmplitude = 0.2 + 0.05*float64(i)
-		l.DiurnalPhase = 0.3 * float64(i)
+		if i%2 == 0 {
+			l.DiurnalAmplitude = 0.2 + 0.05*float64(i)
+			l.DiurnalPhase = 0.3 * float64(i)
+		}
 		i++
 		return l
 	})
-	mid, _ := n.Link(ids[1], ids[2])
-	mid.AddEvent(CongestionEvent{Start: 2 * time.Hour, End: 5 * time.Hour, ExtraUtilization: 0.3, ExtraLoss: 0.004})
+	diurnal, _ := n.Link(ids[2], ids[3])
+	diurnal.AddEvent(CongestionEvent{Start: 2 * time.Hour, End: 5 * time.Hour, ExtraUtilization: 0.3, ExtraLoss: 0.004})
 
 	p := Path{Nodes: ids}
 	r, err := n.ResolvePath(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := []time.Duration{0, time.Hour, 2 * time.Hour, 3*time.Hour + 17*time.Second, 5*time.Hour - time.Nanosecond, 5 * time.Hour, 9 * time.Hour}
+	for j, l := range r.links {
+		if want := j%2 == 1; l.fixed != want {
+			t.Fatalf("link %d snapshotted = %v, want %v", j, l.fixed, want)
+		}
+	}
+	times := []time.Duration{0, time.Hour, 2 * time.Hour, 3*time.Hour + 17*time.Second, 5*time.Hour - time.Nanosecond, 5 * time.Hour,
+		6 * time.Hour, 7 * time.Hour, 8*time.Hour - time.Nanosecond, 8 * time.Hour, 9 * time.Hour}
 	for h := time.Duration(0); h <= 12*time.Hour; h += 90 * time.Minute {
 		times = append(times, h+1234*time.Millisecond)
 	}
-	for _, at := range times {
-		want := refMetrics(t, n, p, at)
-		if got := r.MetricsAt(at); got != want {
-			t.Errorf("MetricsAt(%v) = %+v, want %+v", at, got, want)
-		}
-		if got, err := n.PathMetrics(p, at); err != nil || got != want {
-			t.Errorf("PathMetrics(%v) = %+v, %v, want %+v", at, got, err, want)
+	check := func(stage string) {
+		t.Helper()
+		for _, at := range times {
+			want := refMetrics(t, n, p, at)
+			if got := r.MetricsAt(at); got != want {
+				t.Errorf("%s: MetricsAt(%v) = %+v, want %+v", stage, at, got, want)
+			}
+			if got, err := n.PathMetrics(p, at); err != nil || got != want {
+				t.Errorf("%s: PathMetrics(%v) = %+v, %v, want %+v", stage, at, got, err, want)
+			}
 		}
 	}
+	check("before the late event")
 	// The event must actually have moved the path past the loss knee.
 	if during, after := r.MetricsAt(3*time.Hour), r.MetricsAt(5*time.Hour); during.LossRate <= after.LossRate {
 		t.Errorf("event did not raise loss: during %v, after %v", during.LossRate, after.LossRate)
+	}
+
+	fixed, _ := n.Link(ids[3], ids[4])
+	before := r.MetricsAt(7 * time.Hour)
+	fixed.AddEvent(CongestionEvent{Start: 6 * time.Hour, End: 8 * time.Hour, ExtraUtilization: 0.35, ExtraLoss: 0.003})
+	check("after the late event was added")
+	if during := r.MetricsAt(7 * time.Hour); during.LossRate <= before.LossRate || during.QueueDelayRTT <= before.QueueDelayRTT {
+		t.Errorf("late event not seen: during %+v, without it %+v", during, before)
 	}
 }
 

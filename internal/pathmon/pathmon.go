@@ -30,6 +30,7 @@ import (
 	"math"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,7 +50,8 @@ type Config struct {
 	// Dest; tests and emulations point it at a netem proxy standing in
 	// for the wide-area direct path.
 	DirectAddr string
-	// Fleet lists candidate relay CONNECT endpoints.
+	// Fleet lists candidate relay CONNECT endpoints, each a distinct
+	// host:port; New rejects any other entry.
 	Fleet []string
 	// Interval is the probe round period (default 5 s).
 	Interval time.Duration
@@ -201,6 +203,9 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Dest == "" {
 		return nil, errors.New("pathmon: Config.Dest is required")
 	}
+	if err := checkFleet(cfg.Fleet); err != nil {
+		return nil, err
+	}
 	if cfg.DirectAddr == "" {
 		cfg.DirectAddr = cfg.Dest
 	}
@@ -280,6 +285,26 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	m.instrument(cfg.Obs)
 	return m, nil
+}
+
+// checkFleet rejects a fleet entry that would not key a one-hop route of
+// its own: one that is not host:port, contains the route-key separator, or
+// repeats an earlier entry (it would be probed and ranked twice).
+func checkFleet(fleet []string) error {
+	seen := make(map[string]bool, len(fleet))
+	for _, r := range fleet {
+		if _, _, err := net.SplitHostPort(r); err != nil {
+			return fmt.Errorf("pathmon: fleet entry %q: %w", r, err)
+		}
+		if strings.Contains(r, hopSep) {
+			return fmt.Errorf("pathmon: fleet entry %q contains the route-key separator 0x1f", r)
+		}
+		if seen[r] {
+			return fmt.Errorf("pathmon: fleet entry %q repeats an earlier entry", r)
+		}
+		seen[r] = true
+	}
+	return nil
 }
 
 func (m *Monitor) instrument(reg *obs.Registry) {

@@ -341,3 +341,39 @@ func TestSubscribeNotifiesOnRoundsAndPin(t *testing.T) {
 		t.Fatal("notification delivered after unsubscribe")
 	}
 }
+
+// TestNewChecksFleet: New accepts a fleet of distinct host:port entries,
+// each becoming one probed route, and rejects an entry that is not
+// host:port, contains the route-key separator, or repeats an earlier entry.
+func TestNewChecksFleet(t *testing.T) {
+	tests := []struct {
+		name    string
+		fleet   []string
+		wantErr string // "" = accepted
+	}{
+		{"none", nil, ""},
+		{"distinct", []string{"r1:9000", "r2:9000", "r1:9001", "[::1]:9000", ":9000"}, ""},
+		{"duplicate", []string{"r1:9000", "r2:9000", "r1:9000"}, `pathmon: fleet entry "r1:9000" repeats an earlier entry`},
+		{"empty", []string{"r1:9000", ""}, `pathmon: fleet entry "": missing port in address`},
+		{"no port", []string{"r1"}, `pathmon: fleet entry "r1": address r1: missing port in address`},
+		{"separator", []string{"r1\x1fr2:9000"}, `pathmon: fleet entry "r1\x1fr2:9000" contains the route-key separator 0x1f`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			m, err := New(Config{Dest: "192.0.2.1:9", Fleet: tt.fleet})
+			if tt.wantErr != "" {
+				if err == nil || err.Error() != tt.wantErr {
+					t.Fatalf("New error = %v, want %q", err, tt.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer m.Close()
+			if got, want := len(m.order), 1+len(tt.fleet); got != want {
+				t.Errorf("probe set has %d routes, want %d (direct + one per entry)", got, want)
+			}
+		})
+	}
+}

@@ -150,8 +150,10 @@ type flow struct {
 	cwnd float64
 	ssth float64
 
-	// CUBIC state.
+	// CUBIC state. k is the epoch's K = cbrt(wMax*(1-beta)/C), the time
+	// the cubic takes to climb back to wMax; startEpoch keeps it with wMax.
 	wMax       float64
+	k          float64
 	epochStart time.Duration
 	epochSet   bool
 
@@ -174,14 +176,20 @@ const (
 	cubicC    = 0.4
 )
 
+// startEpoch starts a CUBIC epoch at now that climbs back to wMax.
+func (f *flow) startEpoch(now time.Duration, wMax float64) {
+	f.wMax = wMax
+	f.k = math.Cbrt(wMax * (1 - cubicBeta) / cubicC)
+	f.epochStart = now
+	f.epochSet = true
+}
+
 // onLoss applies the multiplicative decrease for a loss round.
 func (f *flow) onLoss(now time.Duration) {
 	switch f.cfg.Alg {
 	case Cubic:
-		f.wMax = f.cwnd
+		f.startEpoch(now, f.cwnd)
 		f.cwnd *= cubicBeta
-		f.epochStart = now
-		f.epochSet = true
 	default: // Reno
 		f.cwnd /= 2
 	}
@@ -211,13 +219,13 @@ func (f *flow) grow(now time.Duration, rtt time.Duration) {
 		switch f.cfg.Alg {
 		case Cubic:
 			if !f.epochSet {
-				f.wMax = f.cwnd
-				f.epochStart = now
-				f.epochSet = true
+				f.startEpoch(now, f.cwnd)
 			}
-			t := (now + rtt - f.epochStart).Seconds()
-			k := math.Cbrt(f.wMax * (1 - cubicBeta) / cubicC)
-			target := cubicC*math.Pow(t-k, 3) + f.wMax
+			// d*d*d has the bits of math.Pow(d, 3) whenever the cube is a
+			// normal float, as it is here: wMax >= 1 keeps K above 0.9, so
+			// d is 0 or larger than 1e-17 in magnitude.
+			d := (now + rtt - f.epochStart).Seconds() - f.k
+			target := cubicC*(d*d*d) + f.wMax
 			if target > f.cwnd {
 				// Don't grow faster than slow start.
 				if target > f.cwnd*2 {
