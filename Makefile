@@ -8,7 +8,8 @@
 #                     objective routing — plus the experiment suite)
 #   make race         race-detector pass over the full tree
 #   make vet          static checks
-#   make lint         go vet plus staticcheck/golangci-lint when installed
+#   make lint         go vet (root and benchmark modules) plus
+#                     staticcheck/golangci-lint when installed
 #   make fmt          gofmt diff gate (fails if any file needs formatting)
 #   make check        all of the above
 #   make bench        data-plane benchmarks (pipe, relay, multipath, gateway
@@ -41,10 +42,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Lint gate: go vet always runs; staticcheck and golangci-lint run when
-# present on PATH (offline environments without them still pass).
+# Lint gate: go vet always runs, on the root module and on the benchmark
+# module (its own go.mod, so the root ./... never reaches it);
+# staticcheck and golangci-lint run when present on PATH (offline
+# environments without them still pass).
 lint:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \

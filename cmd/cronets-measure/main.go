@@ -33,9 +33,9 @@ import (
 	"strings"
 	"time"
 
+	"cronets/internal/chain"
 	"cronets/internal/flowtrace"
 	"cronets/internal/measure"
-	"cronets/internal/relay"
 )
 
 func main() {
@@ -93,7 +93,7 @@ func dialMaybeRelay(ctx context.Context, connect, relayAddr string, timeout time
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", connect)
 	}
-	return relay.DialVia(ctx, nil, relayAddr, connect)
+	return chain.Dial(ctx, []string{relayAddr}, connect, chain.Options{})
 }
 
 func runClient(args []string) error {
@@ -107,15 +107,15 @@ func runClient(args []string) error {
 	if *connect == "" {
 		return fmt.Errorf("-connect is required")
 	}
-	conn, err := dialMaybeRelay(context.Background(), *connect, *relayAddr, 10*time.Second)
+	// The run is bounded: the dial timeout plus the measured window.
+	ctx, cancel := context.WithTimeout(context.Background(), *duration+10*time.Second)
+	defer cancel()
+	conn, err := dialMaybeRelay(ctx, *connect, *relayAddr, 10*time.Second)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	if _, err := measure.SinkClient(conn); err != nil {
-		return err
-	}
-	res, err := measure.Throughput(conn, *duration, 0)
+	res, err := measure.Throughput(ctx, conn, *duration, 0)
 	if err != nil {
 		return err
 	}
@@ -143,7 +143,7 @@ func runRTT(args []string) error {
 		return err
 	}
 	defer conn.Close()
-	stats, err := measure.ProbeRTT(conn, *count)
+	stats, err := measure.ProbeRTTContext(context.Background(), conn, *count, nil)
 	if err != nil {
 		return err
 	}
@@ -193,7 +193,7 @@ func runTrace(args []string) error {
 	probe := tracer.Start("client.probe", flow.Context())
 	// A first single probe isolates first-byte latency; the remaining
 	// probes measure the steady-state path.
-	first, err := measure.ProbeRTT(conn, 1)
+	first, err := measure.ProbeRTTContext(ctx, conn, 1, nil)
 	if err != nil {
 		probe.End()
 		flow.End()
@@ -203,7 +203,7 @@ func runTrace(args []string) error {
 	flow.MarkFirstByte()
 	stats := first
 	if *count > 1 {
-		stats, err = measure.ProbeRTT(conn, *count-1)
+		stats, err = measure.ProbeRTTContext(ctx, conn, *count-1, nil)
 		if err != nil {
 			probe.End()
 			flow.End()

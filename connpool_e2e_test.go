@@ -128,7 +128,7 @@ func TestWarmPoolEndToEnd(t *testing.T) {
 				t.Fatal("dial went direct; pinned best is the relay")
 			}
 			// The leg is usable end to end.
-			if _, err := measure.ProbeRTT(conn, 1); err != nil {
+			if _, err := measure.ProbeRTTContext(context.Background(), conn, 1, nil); err != nil {
 				t.Fatalf("probe over dialed path: %v", err)
 			}
 			_ = conn.Close()
@@ -161,7 +161,7 @@ func TestWarmPoolEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := measure.ProbeRTT(conn, 2); err != nil {
+	if _, err := measure.ProbeRTTContext(context.Background(), conn, 2, nil); err != nil {
 		t.Fatalf("second probe over pooled path: %v", err)
 	}
 }

@@ -143,7 +143,7 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 	if !path.IsDirect() {
 		t.Fatalf("healthy-phase dial took %v, want direct", path)
 	}
-	if _, err := measure.ProbeRTT(conn, 2); err != nil {
+	if _, err := measure.ProbeRTTContext(context.Background(), conn, 2, nil); err != nil {
 		t.Fatalf("probe over healthy direct path: %v", err)
 	}
 	_ = conn.Close()
@@ -182,7 +182,7 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 	if path.IsDirect() {
 		t.Fatal("post-degradation dial still went direct")
 	}
-	if _, err := measure.ProbeRTT(conn, 2); err != nil {
+	if _, err := measure.ProbeRTTContext(context.Background(), conn, 2, nil); err != nil {
 		t.Fatalf("probe over relay path: %v", err)
 	}
 	_ = conn.Close()

@@ -160,7 +160,7 @@ func run() error {
 		return err
 	}
 	defer conn.Close()
-	stats, err := measure.ProbeRTT(conn, 4)
+	stats, err := measure.ProbeRTTContext(ctx, conn, 4, nil)
 	if err != nil {
 		return err
 	}

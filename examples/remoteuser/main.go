@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -150,7 +151,7 @@ func throughputDemo() error {
 			return err
 		}
 		defer conn.Close()
-		rtt, err := measure.ProbeRTT(conn, 5)
+		rtt, err := measure.ProbeRTTContext(context.Background(), conn, 5, nil)
 		if err != nil {
 			return err
 		}
@@ -159,10 +160,7 @@ func throughputDemo() error {
 			return err
 		}
 		defer conn2.Close()
-		if _, err := measure.SinkClient(conn2); err != nil {
-			return err
-		}
-		thr, err := measure.Throughput(conn2, 2*time.Second, 64<<10)
+		thr, err := measure.Throughput(context.Background(), conn2, 2*time.Second, 64<<10)
 		if err != nil {
 			return err
 		}

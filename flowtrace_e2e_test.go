@@ -12,6 +12,7 @@ package cronets_test
 // /debug/events.
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"net/http/httptest"
@@ -89,7 +90,7 @@ func TestFlowTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := measure.ProbeRTT(conn, 2); err != nil {
+	if _, err := measure.ProbeRTTContext(context.Background(), conn, 2, nil); err != nil {
 		t.Fatalf("probe through traced path: %v", err)
 	}
 	_ = conn.Close()

@@ -73,9 +73,9 @@ func String(hops []string) string { return strings.Join(hops, ">") }
 
 // Dial establishes one connection to target through the ordered relay
 // chain: a TCP dial to hops[0], then one CONNECT per hop. A single-hop
-// chain is exactly relay.DialVia. The returned connection is the
-// client's end of the fully spliced chain; per-hop failures return a
-// *HopError and leave nothing open.
+// chain is the plain relayed dial: one CONNECT, one OK. The returned
+// connection is the client's end of the fully spliced chain; per-hop
+// failures return a *HopError and leave nothing open.
 func Dial(ctx context.Context, hops []string, target string, opts Options) (net.Conn, error) {
 	if len(hops) == 0 {
 		return nil, errors.New("chain: no hops")

@@ -326,7 +326,7 @@ func (s *Span) FirstByte() (time.Duration, bool) {
 type ctxKey struct{}
 
 // NewGoContext returns ctx carrying tc, so trace state can ride the
-// standard context plumbing into dial helpers (relay.DialVia). An
+// standard context plumbing into dial helpers (chain.Dial). An
 // unsampled tc returns ctx unchanged.
 func NewGoContext(ctx context.Context, tc Context) context.Context {
 	if !tc.Sampled || tc.IsZero() {

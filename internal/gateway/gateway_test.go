@@ -120,7 +120,7 @@ func TestDialFollowsMonitorBestPath(t *testing.T) {
 		t.Fatalf("relay accepted %d connections, want 1", got)
 	}
 	// The relayed connection reaches a live measure server: probe it.
-	if _, err := measure.ProbeRTT(conn, 2); err != nil {
+	if _, err := measure.ProbeRTTContext(context.Background(), conn, 2, nil); err != nil {
 		t.Fatalf("probe through gateway-dialed relay path: %v", err)
 	}
 }

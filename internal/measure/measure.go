@@ -141,13 +141,27 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Throughput runs an iperf-style timed upload over an established
-// connection (which may pass through relays or a multipath channel):
-// random-ish payload is written for the duration and the goodput reported.
-//
-// A stalled peer can block a Write indefinitely; callers that need a hard
-// time bound should use ThroughputContext instead.
-func Throughput(conn io.Writer, duration time.Duration, chunkBytes int) (Result, error) {
+// ErrTruncatedBurst reports a throughput burst that could not sustain its
+// full configured window — the deadline expired or the path failed
+// mid-upload. A truncated window measures goodput over a shorter interval
+// than configured (a systematic underestimate on slow-start-dominated
+// windows), so it is a failure, never a sample.
+var ErrTruncatedBurst = errors.New("measure: throughput burst truncated")
+
+// Throughput runs one iperf-style burst over an established connection to
+// a measure.Server, which may pass through relays: the sink-mode byte,
+// then a timed upload of exactly duration in chunkBytes writes (default
+// 128 KiB). The connection's deadline tracks ctx, so a blackholed path
+// (zero-window peer, silent middlebox) fails instead of hanging the
+// caller. Any upload error — ctx expiring mid-window included — is
+// ErrTruncatedBurst wrapping the cause: callers get a full window's Mbps
+// or an error, never a number measured over less than duration.
+func Throughput(ctx context.Context, conn net.Conn, duration time.Duration, chunkBytes int) (Result, error) {
+	stop := pinDeadline(ctx, conn)
+	defer stop()
+	if _, err := conn.Write([]byte{modeSink}); err != nil {
+		return Result{}, ctxError(ctx, fmt.Errorf("measure: sink preamble: %w", err))
+	}
 	if chunkBytes <= 0 {
 		chunkBytes = 128 << 10
 	}
@@ -162,7 +176,8 @@ func Throughput(conn io.Writer, duration time.Duration, chunkBytes int) (Result,
 		n, err := conn.Write(buf)
 		sent += int64(n)
 		if err != nil {
-			return Result{}, fmt.Errorf("measure: throughput write: %w", err)
+			err = ctxError(ctx, fmt.Errorf("measure: throughput write: %w", err))
+			return Result{}, fmt.Errorf("%w: %w", ErrTruncatedBurst, err)
 		}
 	}
 	elapsed := time.Since(start)
@@ -173,133 +188,26 @@ func Throughput(conn io.Writer, duration time.Duration, chunkBytes int) (Result,
 	}, nil
 }
 
-// ThroughputContext is Throughput with a hard time bound: the connection's
-// deadline tracks the context, so a blackholed path (zero-window peer,
-// silent middlebox) fails with a timeout instead of hanging the caller.
-// The context error is surfaced when cancellation caused the failure.
-func ThroughputContext(ctx context.Context, conn net.Conn, duration time.Duration, chunkBytes int) (Result, error) {
-	stop := guardDeadline(ctx, conn)
-	defer stop()
-	res, err := Throughput(conn, duration, chunkBytes)
-	return res, ctxError(ctx, err)
-}
-
-// ErrTruncatedBurst reports a throughput burst that could not sustain its
-// full configured window — the deadline expired or the path failed
-// mid-upload. A truncated window measures goodput over a shorter interval
-// than configured (a systematic underestimate on slow-start-dominated
-// windows), so it is a failure, never a sample.
-var ErrTruncatedBurst = errors.New("measure: throughput burst truncated")
-
-// ThroughputBurst runs one complete sink-mode throughput burst over an
-// established connection to a measure.Server: the sink preamble, then a
-// timed upload of exactly duration under the context's hard bound. Any
-// upload error — including the context deadline expiring mid-window — is
-// reported as ErrTruncatedBurst wrapping the cause; callers get a full
-// window's Mbps or an error, never a number measured over less than
-// duration.
-func ThroughputBurst(ctx context.Context, conn net.Conn, duration time.Duration, chunkBytes int) (Result, error) {
-	if _, err := SinkClient(conn); err != nil {
-		return Result{}, err
-	}
-	res, err := ThroughputContext(ctx, conn, duration, chunkBytes)
-	if err != nil {
-		return Result{}, fmt.Errorf("%w: %w", ErrTruncatedBurst, err)
-	}
-	if res.Elapsed < duration {
-		return Result{}, fmt.Errorf("%w: measured %v of %v window", ErrTruncatedBurst, res.Elapsed, duration)
-	}
-	return res, nil
-}
-
-// SinkClient prefixes the sink-mode byte on a connection to a
-// measure.Server, returning the same connection ready for Throughput.
-func SinkClient(conn net.Conn) (net.Conn, error) {
-	if _, err := conn.Write([]byte{modeSink}); err != nil {
-		return nil, fmt.Errorf("measure: sink preamble: %w", err)
-	}
-	return conn, nil
-}
-
 // RTTStats summarizes an RTT probe run.
 type RTTStats struct {
 	Min, Avg, Max time.Duration
 	Samples       int
 }
 
-// ProbeRTT measures application-level round-trip time with count echo
-// probes over a connection to a measure.Server.
-//
-// A hung peer can block a probe read indefinitely; callers that need a
-// hard time bound should use ProbeRTTContext instead.
-func ProbeRTT(conn net.Conn, count int) (RTTStats, error) {
-	return ProbeRTTWith(conn, count, nil)
-}
-
-// ProbeRTTContext is ProbeRTTWith with a hard time bound: the connection's
-// deadline tracks the context, so a dead or blackholed path fails within
-// the context budget instead of blocking a probe round forever. The
-// context error is surfaced when cancellation caused the failure.
+// ProbeRTTContext measures application-level round-trip time with count
+// echo probes (default 10) over a connection to a measure.Server,
+// recording each sample into hist (typically
+// cronets_measure_probe_rtt_seconds; nil is ignored). The connection's
+// deadline tracks ctx, so a dead or blackholed path fails within the
+// context budget instead of blocking a probe round forever.
 func ProbeRTTContext(ctx context.Context, conn net.Conn, count int, hist *obs.Histogram) (RTTStats, error) {
-	stop := guardDeadline(ctx, conn)
-	defer stop()
-	stats, err := ProbeRTTWith(conn, count, hist)
-	return stats, ctxError(ctx, err)
-}
-
-// guardDeadline pins conn's deadline to the context: the deadline (if any)
-// is applied immediately and early cancellation force-expires it. The
-// returned stop function releases the watcher and clears the deadline.
-func guardDeadline(ctx context.Context, conn net.Conn) (stop func()) {
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	donec := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Force any blocked Read/Write to return immediately.
-			_ = conn.SetDeadline(time.Unix(1, 0))
-		case <-donec:
-		}
-	}()
-	return func() {
-		close(donec)
-		_ = conn.SetDeadline(time.Time{})
-	}
-}
-
-// ctxError substitutes the context's error for a deadline-induced I/O
-// error so callers see context.DeadlineExceeded/Canceled rather than a
-// generic timeout.
-func ctxError(ctx context.Context, err error) error {
-	if err == nil {
-		return nil
-	}
-	if ctx.Err() != nil {
-		return fmt.Errorf("measure: %w", ctx.Err())
-	}
-	// guardDeadline pins the connection deadline to the context deadline,
-	// and the netpoller can unblock the I/O a beat before the context's own
-	// timer fires ctx.Done. A timeout observed at or past the context
-	// deadline is therefore the context's doing even if ctx.Err() is still
-	// nil at this instant.
-	var ne net.Error
-	if dl, ok := ctx.Deadline(); ok && errors.As(err, &ne) && ne.Timeout() && !time.Now().Before(dl) {
-		return fmt.Errorf("measure: %w", context.DeadlineExceeded)
-	}
-	return err
-}
-
-// ProbeRTTWith is ProbeRTT recording each sample into an obs histogram
-// (typically cronets_measure_probe_rtt_seconds); a nil histogram is
-// ignored.
-func ProbeRTTWith(conn net.Conn, count int, hist *obs.Histogram) (RTTStats, error) {
 	if count <= 0 {
 		count = 10
 	}
+	stop := pinDeadline(ctx, conn)
+	defer stop()
 	if _, err := conn.Write([]byte{modeEcho}); err != nil {
-		return RTTStats{}, fmt.Errorf("measure: echo preamble: %w", err)
+		return RTTStats{}, ctxError(ctx, fmt.Errorf("measure: echo preamble: %w", err))
 	}
 	frame := make([]byte, probeSize)
 	var stats RTTStats
@@ -308,10 +216,10 @@ func ProbeRTTWith(conn net.Conn, count int, hist *obs.Histogram) (RTTStats, erro
 		frame[0] = byte(i)
 		start := time.Now()
 		if _, err := conn.Write(frame); err != nil {
-			return RTTStats{}, fmt.Errorf("measure: probe write: %w", err)
+			return RTTStats{}, ctxError(ctx, fmt.Errorf("measure: probe write: %w", err))
 		}
 		if _, err := io.ReadFull(conn, frame); err != nil {
-			return RTTStats{}, fmt.Errorf("measure: probe read: %w", err)
+			return RTTStats{}, ctxError(ctx, fmt.Errorf("measure: probe read: %w", err))
 		}
 		rtt := time.Since(start)
 		hist.ObserveDuration(rtt)
@@ -326,4 +234,39 @@ func ProbeRTTWith(conn net.Conn, count int, hist *obs.Histogram) (RTTStats, erro
 	}
 	stats.Avg = total / time.Duration(stats.Samples)
 	return stats, nil
+}
+
+// pinDeadline pins conn's deadline to ctx: ctx's deadline (if any) applies
+// at once, and cancelling ctx force-expires it, unblocking in-flight I/O.
+// The returned stop releases the watch and clears the deadline, unless ctx
+// has already ended.
+func pinDeadline(ctx context.Context, conn net.Conn) (stop func()) {
+	if dl, ok := ctx.Deadline(); ok {
+		_ = conn.SetDeadline(dl)
+	}
+	stopWatch := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	return func() {
+		if stopWatch() {
+			_ = conn.SetDeadline(time.Time{})
+		}
+	}
+}
+
+// ctxError substitutes the context's error for a deadline-induced I/O
+// error so callers see context.DeadlineExceeded/Canceled rather than a
+// generic timeout.
+func ctxError(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return fmt.Errorf("measure: %w", ctx.Err())
+	}
+	// pinDeadline pins the connection deadline to the context deadline,
+	// and the netpoller can unblock the I/O a beat before the context's own
+	// timer fires ctx.Done. A timeout observed at or past the context
+	// deadline is therefore the context's doing even if ctx.Err() is still
+	// nil at this instant.
+	var ne net.Error
+	if dl, ok := ctx.Deadline(); ok && errors.As(err, &ne) && ne.Timeout() && !time.Now().Before(dl) {
+		return fmt.Errorf("measure: %w", context.DeadlineExceeded)
+	}
+	return err
 }

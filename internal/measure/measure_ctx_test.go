@@ -13,7 +13,7 @@ import (
 // blackholedServer starts a measure server behind a netem proxy whose
 // fault plan blackholes every connection on connect: bytes go in, nothing
 // ever comes out, and neither socket closes — the hung-peer scenario that
-// used to block ProbeRTT forever.
+// would otherwise block a probe forever.
 func blackholedServer(t *testing.T) net.Addr {
 	t.Helper()
 	srvLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -72,22 +72,19 @@ func TestThroughputContextBlackholeTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := SinkClient(conn); err != nil {
-		t.Fatal(err)
-	}
 
 	// The blackhole never drains, so the kernel buffers fill and writes
 	// block; the context must unblock them.
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = ThroughputContext(ctx, conn, 5*time.Second, 256<<10)
+	_, err = Throughput(ctx, conn, 5*time.Second, 256<<10)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("ThroughputContext succeeded through a blackholed path")
+		t.Fatal("Throughput succeeded through a blackholed path")
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error = %v, want context.DeadlineExceeded", err)
+	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, ErrTruncatedBurst) {
+		t.Fatalf("error = %v, want context.DeadlineExceeded and ErrTruncatedBurst", err)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("throughput took %v through a blackhole; want prompt timeout", elapsed)
@@ -134,5 +131,26 @@ func TestProbeRTTContextHealthyPath(t *testing.T) {
 	}
 	if stats.Samples != 5 {
 		t.Fatalf("samples = %d, want 5", stats.Samples)
+	}
+}
+
+// TestProbeRTTContextClearsDeadline: a probe run leaves no deadline on the
+// connection, so the connection outlives the context that bounded it
+// (cronets-measure trace probes one connection twice).
+func TestProbeRTTContextClearsDeadline(t *testing.T) {
+	s := startServer(t)
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := ProbeRTTContext(ctx, conn, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-ctx.Done()
+	if _, err := ProbeRTTContext(context.Background(), conn, 1, nil); err != nil {
+		t.Fatalf("probe after the first context expired: %v", err)
 	}
 }

@@ -27,10 +27,7 @@ func TestThroughputSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := SinkClient(conn); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Throughput(conn, 200*time.Millisecond, 64<<10)
+	res, err := Throughput(context.Background(), conn, 200*time.Millisecond, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +46,7 @@ func TestProbeRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	stats, err := ProbeRTT(conn, 5)
+	stats, err := ProbeRTTContext(context.Background(), conn, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +69,7 @@ func TestProbeRTTDefaultCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	stats, err := ProbeRTT(conn, 0)
+	stats, err := ProbeRTTContext(context.Background(), conn, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestThroughputBurstFullWindow(t *testing.T) {
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	res, err := ThroughputBurst(ctx, conn, 150*time.Millisecond, 64<<10)
+	res, err := Throughput(ctx, conn, 150*time.Millisecond, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +148,7 @@ func TestThroughputBurstTruncatedIsError(t *testing.T) {
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	res, err := ThroughputBurst(ctx, conn, 10*time.Second, 64<<10)
+	res, err := Throughput(ctx, conn, 10*time.Second, 64<<10)
 	if !errors.Is(err, ErrTruncatedBurst) {
 		t.Fatalf("err = %v (result %+v), want ErrTruncatedBurst", err, res)
 	}

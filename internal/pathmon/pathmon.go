@@ -539,7 +539,7 @@ func (m *Monitor) burst(ctx context.Context, p Route) (float64, error) {
 		return 0, err
 	}
 	defer conn.Close()
-	res, err := measure.ThroughputBurst(ctx, conn, m.cfg.BurstDuration, 0)
+	res, err := measure.Throughput(ctx, conn, m.cfg.BurstDuration, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -969,9 +969,6 @@ func (m *Monitor) Ranked() []RouteStatus {
 	defer m.mu.Unlock()
 	return m.rankForLocked(m.defView, m.now())
 }
-
-// Objective returns the monitor's configured (default-view) objective.
-func (m *Monitor) Objective() Objective { return m.cfg.Objective }
 
 // Rounds returns how many probe rounds have been integrated.
 func (m *Monitor) Rounds() int64 {

@@ -34,9 +34,6 @@ func (m *Monitor) View(obj Objective) *View {
 	return &View{m: m, v: rv}
 }
 
-// Objective returns the view's ranking objective.
-func (vw *View) Objective() Objective { return vw.v.obj }
-
 // Best returns the view's current best route under its objective and
 // whether one has been selected yet.
 func (vw *View) Best() (Route, bool) {

@@ -94,7 +94,7 @@ func TestRelayEnforcesACL(t *testing.T) {
 	r := startRelay(t, Config{ACL: acl})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err = DialVia(ctx, nil, r.Addr().String(), echo.Addr().String())
+	_, err = dialVia(ctx, r.Addr().String(), echo.Addr().String())
 	if err == nil {
 		t.Fatal("forbidden target should be refused")
 	}
@@ -125,7 +125,7 @@ func TestRejectedCounterSeparateFromErrors(t *testing.T) {
 	defer cancel()
 
 	// Forbidden target: rejected, not an error.
-	if _, err := DialVia(ctx, nil, r.Addr().String(), "203.0.113.9:80"); err == nil {
+	if _, err := dialVia(ctx, r.Addr().String(), "203.0.113.9:80"); err == nil {
 		t.Fatal("forbidden target should be refused")
 	}
 	// Allowed target that refuses the connection: an error, not a reject.
@@ -135,11 +135,11 @@ func TestRejectedCounterSeparateFromErrors(t *testing.T) {
 	}
 	deadAddr := dead.Addr().String()
 	_ = dead.Close()
-	if _, err := DialVia(ctx, nil, r.Addr().String(), deadAddr); err == nil {
+	if _, err := dialVia(ctx, r.Addr().String(), deadAddr); err == nil {
 		t.Fatal("dial to closed port should fail")
 	}
 	// A working connection for contrast.
-	conn, err := DialVia(ctx, nil, r.Addr().String(), echo.Addr().String())
+	conn, err := dialVia(ctx, r.Addr().String(), echo.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRelayACLAllowsPermittedTarget(t *testing.T) {
 	r := startRelay(t, Config{ACL: acl})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	conn, err := DialVia(ctx, nil, r.Addr().String(), echo.Addr().String())
+	conn, err := dialVia(ctx, r.Addr().String(), echo.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

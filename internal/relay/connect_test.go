@@ -74,15 +74,6 @@ func connectServer(t *testing.T, reply func(c net.Conn)) string {
 	return ln.Addr().String()
 }
 
-func dialConnect(t *testing.T, ctx context.Context, addr string) (net.Conn, error) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Connect(ctx, conn, "192.0.2.1:9")
-}
-
 func TestConnectShortReply(t *testing.T) {
 	// The relay dies mid-reply: a partial line with no newline is a read
 	// error (EOF before the terminator), not a refusal.
@@ -91,7 +82,7 @@ func TestConnectShortReply(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := dialConnect(t, ctx, addr)
+	_, err := dialVia(ctx, addr, "192.0.2.1:9")
 	if err == nil {
 		t.Fatal("Connect succeeded on a truncated reply")
 	}
@@ -111,7 +102,7 @@ func TestConnectGarbledReply(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := dialConnect(t, ctx, addr)
+	_, err := dialVia(ctx, addr, "192.0.2.1:9")
 	if !errors.Is(err, ErrRefused) {
 		t.Fatalf("err = %v, want ErrRefused", err)
 	}
@@ -130,7 +121,7 @@ func TestConnectRefusedByRealRelay(t *testing.T) {
 	r := startRelay(t, Config{ACL: acl})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err = DialVia(ctx, nil, r.Addr().String(), "192.0.2.1:9")
+	_, err = dialVia(ctx, r.Addr().String(), "192.0.2.1:9")
 	if !errors.Is(err, ErrRefused) {
 		t.Fatalf("ACL rejection err = %v, want ErrRefused", err)
 	}
@@ -149,7 +140,7 @@ func TestConnectCancelMidPreamble(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := dialConnect(t, ctx, addr)
+	_, err := dialVia(ctx, addr, "192.0.2.1:9")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -167,11 +158,51 @@ func TestConnectDeadlineMidPreamble(t *testing.T) {
 	addr := connectServer(t, func(c net.Conn) { <-stall })
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := dialConnect(t, ctx, addr)
+	_, err := dialVia(ctx, addr, "192.0.2.1:9")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if errors.Is(err, ErrRefused) {
 		t.Errorf("timeout misclassified as refusal: %v", err)
+	}
+}
+
+// TestConnectHalfCloseAfterOverRead: the relay's OK and the destination's
+// first bytes arrive in one read, as with a server-first protocol (an SSH
+// or SMTP banner). The returned conn must replay those bytes and still
+// pass the client's half-close upstream; without CloseWrite the flow
+// would wait out the relay's idle timeout.
+func TestConnectHalfCloseAfterOverRead(t *testing.T) {
+	upstreamEOF := make(chan error, 1)
+	addr := connectServer(t, func(c net.Conn) {
+		_, _ = io.WriteString(c, "OK\nhello")
+		_, err := io.ReadAll(c)
+		upstreamEOF <- err
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	conn, err := dialVia(ctx, addr, "192.0.2.1:9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, len("hello"))
+	if _, err := io.ReadFull(conn, buf); err != nil || string(buf) != "hello" {
+		t.Fatalf("read %q, %v; want the banner bytes that followed OK", buf, err)
+	}
+	cw, ok := conn.(interface{ CloseWrite() error })
+	if !ok {
+		t.Fatalf("relayed conn %T cannot half-close", conn)
+	}
+	if err := cw.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-upstreamEOF:
+		if err != nil {
+			t.Fatalf("upstream read ended with %v, want EOF", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the half-close never reached the relay")
 	}
 }

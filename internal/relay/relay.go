@@ -535,13 +535,6 @@ func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flow
 	return err
 }
 
-// ParseConnect parses a "CONNECT host:port" request line, tolerating
-// (and discarding) a trailing trace-context token.
-func ParseConnect(line string) (string, error) {
-	target, _, err := ParseConnectTrace(line)
-	return target, err
-}
-
 // tracePrefix introduces the optional trace-context token on a CONNECT
 // line: "CONNECT host:port TP=<48 hex chars>".
 const tracePrefix = "TP="
@@ -562,7 +555,9 @@ func ParseConnectTrace(line string) (string, flowtrace.Context, error) {
 	if i := strings.IndexByte(rest, ' '); i >= 0 {
 		target = rest[:i]
 		if tok := strings.TrimSpace(rest[i+1:]); strings.HasPrefix(tok, tracePrefix) {
-			tc, _ = flowtrace.DecodeText(strings.TrimPrefix(tok, tracePrefix))
+			if c, ok := flowtrace.DecodeText(strings.TrimPrefix(tok, tracePrefix)); ok {
+				tc = c
+			}
 		}
 	}
 	host, port, err := net.SplitHostPort(target)
@@ -570,21 +565,6 @@ func ParseConnectTrace(line string) (string, flowtrace.Context, error) {
 		return "", flowtrace.Context{}, fmt.Errorf("relay: bad target %q", target)
 	}
 	return target, tc, nil
-}
-
-// DialVia connects to target through a CONNECT-mode relay and completes
-// the handshake, returning the relayed connection. If ctx carries a
-// sampled trace context (flowtrace.NewGoContext), it is propagated to
-// the relay in the CONNECT preamble so the relay's spans join the trace.
-func DialVia(ctx context.Context, d Dialer, relayAddr, target string) (net.Conn, error) {
-	if d == nil {
-		d = &net.Dialer{}
-	}
-	conn, err := d.DialContext(ctx, "tcp", relayAddr)
-	if err != nil {
-		return nil, fmt.Errorf("relay: dial relay %s: %w", relayAddr, err)
-	}
-	return Connect(ctx, conn, target)
 }
 
 // ErrRefused marks a CONNECT the relay answered with an ERR line: the
@@ -600,9 +580,10 @@ var ErrRefused = errors.New("relay: connect refused")
 // sockets skips the TCP handshake leg and pays only this one round trip.
 // ctx bounds the whole preamble exchange: its deadline covers both the
 // request write and the reply read, and cancelling it mid-handshake
-// force-expires the socket so the caller returns promptly. ctx also
-// carries the optional trace context, exactly as in DialVia. On error the
-// connection is closed.
+// force-expires the socket so the caller returns promptly. If ctx carries
+// a sampled trace context (flowtrace.NewGoContext), it rides in the
+// preamble so the relay's spans join the trace. On error the connection
+// is closed.
 func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(dl)
@@ -631,7 +612,9 @@ func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error
 		return nil, fmt.Errorf("%w: %s", ErrRefused, strings.TrimSpace(line))
 	}
 	if br.Buffered() > 0 {
-		return &bufferedConn{Conn: conn, r: br}, nil
+		// The destination's first bytes (a server-first banner) came in
+		// with the OK: replay them, and keep the TCP half-close surface.
+		return pipe.WithReader(conn, br), nil
 	}
 	return conn, nil
 }
@@ -652,11 +635,3 @@ func connectAbortErr(ctx context.Context, err error) error {
 	}
 	return err
 }
-
-// bufferedConn keeps bytes the handshake reader over-read.
-type bufferedConn struct {
-	net.Conn
-	r *bufio.Reader
-}
-
-func (b *bufferedConn) Read(p []byte) (int, error) { return b.r.Read(p) }

@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"cronets/internal/flowtrace"
 )
 
 // echoServer accepts connections and echoes everything back.
@@ -48,6 +50,18 @@ func startRelay(t *testing.T, cfg Config) *Relay {
 	go r.Serve() //nolint:errcheck // closed in cleanup
 	t.Cleanup(func() { _ = r.Close() })
 	return r
+}
+
+// dialVia opens a connection to target through the CONNECT-mode relay at
+// relayAddr: a TCP dial, then the CONNECT handshake. (The chain package
+// owns the production dial path, but it imports relay.)
+func dialVia(ctx context.Context, relayAddr, target string) (net.Conn, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", relayAddr)
+	if err != nil {
+		return nil, err
+	}
+	return Connect(ctx, conn, target)
 }
 
 // waitFor polls cond until it holds or a 5 s deadline expires (counters
@@ -103,7 +117,7 @@ func TestConnectMode(t *testing.T) {
 	r := startRelay(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	conn, err := DialVia(ctx, nil, r.Addr().String(), echo.Addr().String())
+	conn, err := dialVia(ctx, r.Addr().String(), echo.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +153,7 @@ func TestConnectModeDialFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	// Port 1 on localhost should refuse.
-	_, err := DialVia(ctx, nil, r.Addr().String(), "127.0.0.1:1")
+	_, err := dialVia(ctx, r.Addr().String(), "127.0.0.1:1")
 	if err == nil {
 		t.Fatal("expected dial failure via relay")
 	}
@@ -148,28 +162,38 @@ func TestConnectModeDialFailure(t *testing.T) {
 	}
 }
 
-func TestParseConnect(t *testing.T) {
+func TestParseConnectTrace(t *testing.T) {
+	sampled := flowtrace.Context{Trace: flowtrace.TraceID{1, 2, 3}, Span: 42, Sampled: true}
+	zeroTrace := flowtrace.Context{Span: 42, Sampled: true}
 	tests := []struct {
 		line    string
 		want    string
+		wantTC  flowtrace.Context
 		wantErr bool
 	}{
-		{"CONNECT 10.0.0.1:80\n", "10.0.0.1:80", false},
-		{"CONNECT example.com:443", "example.com:443", false},
-		{"CONNECT [::1]:80\n", "[::1]:80", false},
-		{"CONNECT nohost\n", "", true},
-		{"CONNECT :80\n", "", true},
-		{"FETCH 10.0.0.1:80\n", "", true},
-		{"", "", true},
+		{"CONNECT 10.0.0.1:80\n", "10.0.0.1:80", flowtrace.Context{}, false},
+		{"CONNECT example.com:443", "example.com:443", flowtrace.Context{}, false},
+		{"CONNECT [::1]:80\n", "[::1]:80", flowtrace.Context{}, false},
+		{"CONNECT 10.0.0.1:80 TP=" + sampled.EncodeText() + "\n", "10.0.0.1:80", sampled, false},
+		// A bad trace token never fails the handshake: it yields no context.
+		{"CONNECT 10.0.0.1:80 TP=" + sampled.EncodeText()[:40] + "\n", "10.0.0.1:80", flowtrace.Context{}, false},
+		{"CONNECT 10.0.0.1:80 TP=" + strings.Repeat("zz", flowtrace.WireSize) + "\n", "10.0.0.1:80", flowtrace.Context{}, false},
+		{"CONNECT 10.0.0.1:80 TP=" + zeroTrace.EncodeText() + "\n", "10.0.0.1:80", flowtrace.Context{}, false},
+		{"CONNECT 10.0.0.1:80 XX=" + sampled.EncodeText() + "\n", "10.0.0.1:80", flowtrace.Context{}, false},
+		{"CONNECT nohost\n", "", flowtrace.Context{}, true},
+		{"CONNECT :80\n", "", flowtrace.Context{}, true},
+		{"CONNECT nohost TP=" + sampled.EncodeText() + "\n", "", flowtrace.Context{}, true},
+		{"FETCH 10.0.0.1:80\n", "", flowtrace.Context{}, true},
+		{"", "", flowtrace.Context{}, true},
 	}
 	for _, tt := range tests {
-		got, err := ParseConnect(tt.line)
+		got, tc, err := ParseConnectTrace(tt.line)
 		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseConnect(%q) err = %v", tt.line, err)
+			t.Errorf("ParseConnectTrace(%q) err = %v", tt.line, err)
 			continue
 		}
-		if got != tt.want {
-			t.Errorf("ParseConnect(%q) = %q, want %q", tt.line, got, tt.want)
+		if got != tt.want || tc != tt.wantTC {
+			t.Errorf("ParseConnectTrace(%q) = %q, %+v; want %q, %+v", tt.line, got, tc, tt.want, tt.wantTC)
 		}
 	}
 }
@@ -254,14 +278,6 @@ func TestChainedRelays(t *testing.T) {
 	defer conn.Close()
 	if got := roundtrip(t, conn, "two hops"); got != "two hops" {
 		t.Errorf("echo = %q", got)
-	}
-}
-
-func TestDialViaRefused(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if _, err := DialVia(ctx, nil, "127.0.0.1:1", "10.0.0.1:80"); err == nil {
-		t.Error("expected error dialing dead relay")
 	}
 }
 
@@ -600,7 +616,7 @@ func TestIdlePreconnectDoesNotBurnSlot(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	conn, err := DialVia(ctx, nil, r.Addr().String(), echo.Addr().String())
+	conn, err := dialVia(ctx, r.Addr().String(), echo.Addr().String())
 	if err != nil {
 		t.Fatalf("real flow blocked by an idle pre-CONNECT socket: %v", err)
 	}
@@ -646,13 +662,13 @@ func TestConnectModeOverloadAtPreamble(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	first, err := DialVia(ctx, nil, r.Addr().String(), hold.Addr().String())
+	first, err := dialVia(ctx, r.Addr().String(), hold.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer first.Close()
 
-	_, err = DialVia(ctx, nil, r.Addr().String(), hold.Addr().String())
+	_, err = dialVia(ctx, r.Addr().String(), hold.Addr().String())
 	if err == nil {
 		t.Fatal("second CONNECT succeeded past MaxConns=1")
 	}

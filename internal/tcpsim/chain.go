@@ -10,7 +10,9 @@ import (
 // RunSplitChain simulates a multi-hop split-TCP transfer: the connection is
 // terminated and re-originated at every relay, giving n segments each with
 // its own congestion-control loop, coupled through finite relay buffers.
-// With two segments it is equivalent to RunSplit; with more it answers the
+// The result reports end-to-end goodput (bytes delivered to the receiver),
+// combined retransmission statistics, and the sum of segment RTTs as the
+// end-to-end latency estimate. Two segments are RunSplit; more answer the
 // paper's Section VII-B question (can multi-hop overlay paths with several
 // TCP splits help further?).
 func RunSplitChain(rng *rand.Rand, segments []PathFunc, cfg SplitConfig, spec Spec) (Result, error) {
@@ -41,20 +43,6 @@ func RunSplitChain(rng *rand.Rand, segments []PathFunc, cfg SplitConfig, spec Sp
 		delivered int64
 		rounds    int
 	)
-	done := func() bool {
-		if spec.TransferBytes > 0 && delivered >= spec.TransferBytes {
-			return true
-		}
-		if spec.Duration > 0 {
-			for _, t := range times {
-				if t < spec.Duration {
-					return false
-				}
-			}
-			return true
-		}
-		return false
-	}
 	// idleBump advances an idle segment's clock to the earliest other
 	// segment ahead of it (or by a millisecond when it already leads).
 	idleBump := func(i int) {
@@ -70,21 +58,23 @@ func RunSplitChain(rng *rand.Rand, segments []PathFunc, cfg SplitConfig, spec Sp
 			times[i] += time.Millisecond
 		}
 	}
-	for !done() {
-		rounds++
-		if rounds > 20_000_000 {
-			return Result{}, errors.New("tcpsim: split chain did not terminate")
-		}
-		// Advance the segment earliest in simulated time.
+	for {
+		// Advance the segment earliest in simulated time; ties go to the
+		// upstream segment so the pipeline fills before it drains. Once
+		// the earliest clock reaches Duration, every clock has.
 		i := 0
 		for j := 1; j < n; j++ {
 			if times[j] < times[i] {
 				i = j
 			}
 		}
-		if spec.Duration > 0 && times[i] >= spec.Duration {
-			times[i] += time.Millisecond
-			continue
+		if spec.TransferBytes > 0 && delivered >= spec.TransferBytes ||
+			spec.Duration > 0 && times[i] >= spec.Duration {
+			break
+		}
+		rounds++
+		if rounds > 20_000_000 {
+			return Result{}, errors.New("tcpsim: split chain did not terminate")
 		}
 		limit := math.Inf(1)
 		if i > 0 {
@@ -103,7 +93,9 @@ func RunSplitChain(rng *rand.Rand, segments []PathFunc, cfg SplitConfig, spec Sp
 				idleBump(i)
 				continue
 			}
-			limit = math.Min(limit, free)
+			// The builtin min compiles inline where math.Min is a call;
+			// both order -0 below +0 and pass NaN through.
+			limit = min(limit, free)
 		}
 		if i == 0 && spec.TransferBytes > 0 {
 			remaining := math.Ceil(float64(spec.TransferBytes-srcSent) / float64(mss))
@@ -111,7 +103,7 @@ func RunSplitChain(rng *rand.Rand, segments []PathFunc, cfg SplitConfig, spec Sp
 				idleBump(i)
 				continue
 			}
-			limit = math.Min(limit, remaining)
+			limit = min(limit, remaining)
 		}
 		lim := -1.0
 		if !math.IsInf(limit, 1) {
@@ -145,14 +137,13 @@ func RunSplitChain(rng *rand.Rand, segments []PathFunc, cfg SplitConfig, spec Sp
 	if elapsed > 0 {
 		res.ThroughputMbps = float64(delivered) * 8 / elapsed.Seconds() / 1e6
 	}
-	var sent, lost, rttSum, rttW float64
+	var sent, lost, rttSum float64
 	for _, f := range flows {
 		sent += f.sentPkts
 		lost += f.lostPkts
 		res.Timeouts += f.timeouts
 		if f.rttWeight > 0 {
 			rttSum += f.rttSum / f.rttWeight
-			rttW++
 		}
 	}
 	if sent > 0 {

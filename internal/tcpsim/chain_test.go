@@ -33,23 +33,6 @@ func TestChainSingleSegmentEqualsRun(t *testing.T) {
 	}
 }
 
-func TestChainTwoSegmentsMatchesSplitApprox(t *testing.T) {
-	seg := StaticPath(metrics(100, 2e-4, 1000))
-	spec := Spec{Duration: 30 * time.Second}
-	chain, err := RunSplitChain(rand.New(rand.NewSource(5)), []PathFunc{seg, seg}, DefaultSplitConfig(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := RunSplit(rand.New(rand.NewSource(5)), seg, seg, DefaultSplitConfig(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := chain.ThroughputMbps / split.ThroughputMbps
-	if ratio < 0.7 || ratio > 1.4 {
-		t.Errorf("chain(2) %v vs RunSplit %v diverge", chain.ThroughputMbps, split.ThroughputMbps)
-	}
-}
-
 // TestChainThreeSegmentsBeatsEndToEnd: splitting a long lossy path twice
 // should beat the single end-to-end loop (each loop sees a third of the
 // RTT), the paper's Section VII-B hypothesis.

@@ -1,7 +1,6 @@
 package tcpsim
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"time"
@@ -30,129 +29,14 @@ func DefaultSplitConfig() SplitConfig {
 }
 
 // RunSplit simulates a split-TCP transfer: sender -> relay over first,
-// relay -> receiver over second. The result reports end-to-end goodput
-// (bytes delivered to the receiver), combined retransmission statistics,
-// and the sum of segment RTTs as the end-to-end latency estimate.
+// relay -> receiver over second. It is the two-segment form of
+// RunSplitChain.
 func RunSplit(rng *rand.Rand, first, second PathFunc, cfg SplitConfig, spec Spec) (Result, error) {
-	if spec.Duration <= 0 && spec.TransferBytes <= 0 {
-		return Result{}, ErrSpec
-	}
-	if cfg.RelayBufferBytes <= 0 {
-		cfg.RelayBufferBytes = 4 << 20
-	}
-	var (
-		f1, f2    = newFlow(cfg.Flow), newFlow(cfg.Flow)
-		t1, t2    time.Duration
-		buffered  int64 // bytes sitting in the relay buffer
-		srcSent   int64 // bytes the sender has pushed into the relay
-		delivered int64 // bytes the receiver has acknowledged
-		rounds    int
-	)
-	mss := int64(cfg.Flow.MSSBytes)
-	done := func() bool {
-		if spec.TransferBytes > 0 && delivered >= spec.TransferBytes {
-			return true
-		}
-		if spec.Duration > 0 && t1 >= spec.Duration && t2 >= spec.Duration {
-			return true
-		}
-		return false
-	}
-	for !done() {
-		rounds++
-		if rounds > 10_000_000 {
-			return Result{}, errors.New("tcpsim: split flow did not terminate")
-		}
-		// Advance whichever half is earlier in simulated time; ties go to
-		// the first half so the pipeline fills before it drains.
-		if t1 <= t2 {
-			if spec.Duration > 0 && t1 >= spec.Duration {
-				t1 = t2 + 1 // first half done; only drain remains
-				continue
-			}
-			free := cfg.RelayBufferBytes - buffered
-			limit := math.Floor(float64(free) / float64(mss))
-			if spec.TransferBytes > 0 {
-				remaining := math.Ceil(float64(spec.TransferBytes-srcSent) / float64(mss))
-				if remaining <= 0 {
-					t1 = t2 + 1 // source exhausted; only drain remains
-					continue
-				}
-				limit = math.Min(limit, remaining)
-			}
-			if limit < 1 {
-				// Buffer full: the sender is flow-controlled. Idle until
-				// the drain side catches up.
-				if t2 > t1 {
-					t1 = t2
-				} else {
-					t1 += time.Millisecond
-				}
-				continue
-			}
-			out := f1.step(rng, first(t1), t1, limit)
-			got := int64(out.delivered) * mss
-			buffered += got
-			srcSent += got
-			t1 += out.rtt
-			if out.timeout {
-				t1 += rtoFor(out.rtt, cfg.Flow.MinRTO)
-			}
-		} else {
-			if spec.Duration > 0 && t2 >= spec.Duration {
-				t2 = t1 + 1
-				continue
-			}
-			avail := math.Floor(float64(buffered) / float64(mss))
-			if avail < 1 {
-				// Nothing to relay yet: wait for the fill side.
-				if t1 > t2 {
-					t2 = t1
-				} else {
-					t2 += time.Millisecond
-				}
-				continue
-			}
-			out := f2.step(rng, second(t2), t2, avail)
-			got := int64(out.delivered) * mss
-			buffered -= got
-			if buffered < 0 {
-				buffered = 0
-			}
-			delivered += got
-			t2 += out.rtt
-			if out.timeout {
-				t2 += rtoFor(out.rtt, cfg.Flow.MinRTO)
-			}
-		}
-	}
-	elapsed := t2
-	if spec.Duration > 0 && elapsed > spec.Duration {
-		elapsed = spec.Duration
-	}
-	res := Result{
-		Bytes:    delivered,
-		Elapsed:  elapsed,
-		Rounds:   rounds,
-		Timeouts: f1.timeouts + f2.timeouts,
-	}
-	if elapsed > 0 {
-		res.ThroughputMbps = float64(delivered) * 8 / elapsed.Seconds() / 1e6
-	}
-	if sent := f1.sentPkts + f2.sentPkts; sent > 0 {
-		res.RetransRate = (f1.lostPkts + f2.lostPkts) / sent
-	}
-	var rtt float64
-	if f1.rttWeight > 0 {
-		rtt += f1.rttSum / f1.rttWeight
-	}
-	if f2.rttWeight > 0 {
-		rtt += f2.rttSum / f2.rttWeight
-	}
-	res.AvgRTT = time.Duration(rtt * float64(time.Second))
-	return res, nil
+	return RunSplitChain(rng, []PathFunc{first, second}, cfg, spec)
 }
 
+// rtoFor is the retransmission timeout after a round of rtt: twice the
+// RTT, but at least minRTO.
 func rtoFor(rtt, minRTO time.Duration) time.Duration {
 	rto := rtt * 2
 	if rto < minRTO {
@@ -177,39 +61,11 @@ type RoundOutcome struct {
 
 // SimulateRound performs the path half of a TCP round — self-queueing,
 // buffer-overflow drops and random loss — for a window of sendPkts segments
-// over metrics m, without touching any congestion-control state. MPTCP
-// subflows use it with their own coupled window rules.
+// over metrics m. It is one step of a throwaway flow, so no caller's
+// congestion-control state changes. MPTCP subflows use it with their own
+// coupled window rules.
 func SimulateRound(rng *rand.Rand, m netsim.Metrics, cfg Config, sendPkts float64) RoundOutcome {
-	mssBits := float64(cfg.MSSBytes) * 8
-	baseRTT := m.BaseRTT + m.QueueDelayRTT
-	if baseRTT <= 0 {
-		baseRTT = time.Millisecond
-	}
-	bdp := m.AvailableMbps * 1e6 * baseRTT.Seconds() / mssBits
-	if bdp < 1 {
-		bdp = 1
-	}
-	buffer := bdp * cfg.BufferBDP
-
-	send := sendPkts
-	if send < 1 {
-		send = 1
-	}
-	var congLost float64
-	rtt := baseRTT
-	if send > bdp {
-		queued := math.Min(send-bdp, buffer)
-		rtt += time.Duration(queued * mssBits / (m.AvailableMbps * 1e6) * float64(time.Second))
-		if send > bdp+buffer {
-			congLost = send - (bdp + buffer)
-			send = bdp + buffer
-		}
-	}
-	randomLost := float64(binomial(rng, int(send), m.LossRate))
-	lost := congLost + randomLost
-	delivered := send + congLost - lost
-	if delivered < 0 {
-		delivered = 0
-	}
-	return RoundOutcome{Sent: send + congLost, Delivered: delivered, Lost: lost, RTT: rtt}
+	f := flow{cfg: cfg, cwnd: sendPkts, ssth: math.Inf(1)}
+	out := f.step(rng, m, 0, -1)
+	return RoundOutcome{Sent: out.sent, Delivered: out.delivered, Lost: out.lost, RTT: out.rtt}
 }

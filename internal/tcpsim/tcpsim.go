@@ -134,7 +134,8 @@ type Result struct {
 	Bytes int64
 	// Elapsed is the simulated duration of the flow.
 	Elapsed time.Duration
-	// Rounds is the number of simulated RTT rounds.
+	// Rounds is the number of simulated RTT rounds. For split runs it
+	// counts loop iterations over all segments, idle ones included.
 	Rounds int
 	// Timeouts counts retransmission timeouts.
 	Timeouts int
@@ -352,11 +353,7 @@ func Run(rng *rand.Rand, path PathFunc, cfg Config, spec Spec) (Result, error) {
 		out := f.step(rng, m, now, limit)
 		bytes += int64(out.delivered) * mss
 		if out.timeout {
-			rto := out.rtt * 2
-			if rto < cfg.MinRTO {
-				rto = cfg.MinRTO
-			}
-			now += rto
+			now += rtoFor(out.rtt, cfg.MinRTO)
 		} else {
 			now += out.rtt
 		}

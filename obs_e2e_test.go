@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/chain"
 	"cronets/internal/measure"
 	"cronets/internal/multipath"
 	"cronets/internal/netem"
@@ -100,11 +101,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// Connection 1: sink-mode upload through netem -> relay -> server.
 	const uploadBytes = 1 << 20
-	conn, err := relay.DialVia(ctx, nil, shaper.Addr().String(), msLn.Addr().String())
+	conn, err := chain.Dial(ctx, []string{shaper.Addr().String()}, msLn.Addr().String(), chain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := measure.SinkClient(conn); err != nil {
+	// The sink-mode byte: the server discards the rest.
+	if _, err := conn.Write([]byte{'S'}); err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 64<<10)
@@ -119,11 +121,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	const probes = 5
 	rttHist := reg.Histogram("cronets_measure_probe_rtt_seconds",
 		"Application-level RTT of echo probes.", obs.LatencyBuckets)
-	probeConn, err := relay.DialVia(ctx, nil, shaper.Addr().String(), msLn.Addr().String())
+	probeConn, err := chain.Dial(ctx, []string{shaper.Addr().String()}, msLn.Addr().String(), chain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := measure.ProbeRTTWith(probeConn, probes, rttHist); err != nil {
+	if _, err := measure.ProbeRTTContext(ctx, probeConn, probes, rttHist); err != nil {
 		t.Fatal(err)
 	}
 	_ = probeConn.Close()
