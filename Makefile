@@ -22,10 +22,14 @@
 #   make benchmark-smoke  the repository benchmark's short smoke tests (its
 #                     own module under benchmark/): flows_1hop's echo check
 #                     and sim_reallife's pinned seed-42 result digest
+#   make race-repeat  the listener-lifecycle packages (pipe.Server and the
+#                     relay, gateway, netem and measure servers on it, plus
+#                     connpool and chain) five times over under -race, so a
+#                     flaky close or accept race shows up as a failure
 
 GO ?= go
 
-.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke
+.PHONY: build test test-short race race-repeat vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +42,10 @@ test-short: build
 
 race:
 	$(GO) test -race ./...
+
+race-repeat:
+	$(GO) test -race -count=5 ./internal/pipe/ ./internal/relay/ ./internal/gateway/ \
+		./internal/netem/ ./internal/measure/ ./internal/connpool/ ./internal/chain/
 
 vet:
 	$(GO) vet ./...

@@ -119,37 +119,45 @@ func TestFailoverEndToEnd(t *testing.T) {
 		got, readErr = io.ReadAll(receiver)
 	}()
 
-	// Stream the first half — striping pushes well past killAt through
-	// shaper 0, severing subflow 0 mid-transfer — then trickle until the
-	// reconnect loop has the slot back in service.
-	half := total / 2
-	for off := 0; off < half; off += 32 << 10 {
-		end := off + 32<<10
-		if end > half {
-			end = half
+	// Stream MaxSegBytes pieces until shaper 0 has forwarded killAt bytes
+	// and severed subflow 0. Striping decides how much of each write
+	// reaches shaper 0, so write until the fault fires, not a fixed
+	// amount. Write returns once a segment is queued, so each write waits
+	// for the acknowledgments to come within two subflow windows (16
+	// segments) of it; 64 KiB stays back for the trickle and the tail.
+	faults := reg.Counter("cronets_netem_faults_total", "")
+	deadline := time.Now().Add(10 * time.Second)
+	off := 0
+	for faults.Value() == 0 && time.Now().Before(deadline) {
+		if off+mpCfg.MaxSegBytes > total-64<<10 {
+			t.Fatalf("fault never fired after %d bytes", off)
 		}
-		if _, err := sender.Write(payload[off:end]); err != nil {
+		if _, err := sender.Write(payload[off : off+mpCfg.MaxSegBytes]); err != nil {
 			t.Fatalf("write before failover: %v", err)
+		}
+		off += mpCfg.MaxSegBytes
+		for sender.CumAcked()+16 < uint64(off/mpCfg.MaxSegBytes) &&
+			faults.Value() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
 	}
 	// The kill surfaces asynchronously (the severed bytes sit in kernel
-	// buffers), so wait for the full death-and-rejoin cycle: the rejoin
-	// counter ticking over, with the slot back in service.
+	// buffers), so trickle until the full death-and-rejoin cycle is done:
+	// the rejoin counter ticking over, with the slot back in service.
 	rejoins := reg.Counter("cronets_multipath_rejoins_total", "")
-	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) &&
 		!(rejoins.Value() >= 1 && sender.AliveSubflows() == subflows) {
-		if _, err := sender.Write(payload[half : half+1]); err != nil {
+		if _, err := sender.Write(payload[off : off+1]); err != nil {
 			t.Fatalf("write during failover: %v", err)
 		}
-		half++
+		off++
 		time.Sleep(time.Millisecond)
 	}
 	if rejoins.Value() < 1 || sender.AliveSubflows() != subflows {
 		t.Fatalf("killed subflow never rejoined: alive = %d, rejoins = %d",
 			sender.AliveSubflows(), rejoins.Value())
 	}
-	if _, err := sender.Write(payload[half:]); err != nil {
+	if _, err := sender.Write(payload[off:]); err != nil {
 		t.Fatalf("write after failover: %v", err)
 	}
 	if err := sender.Close(); err != nil {

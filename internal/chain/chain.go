@@ -26,20 +26,15 @@ import (
 	"cronets/internal/relay"
 )
 
-// DefaultPerHopTimeout bounds one hop's CONNECT exchange when Options
-// leaves PerHopTimeout unset and the caller's context carries no
-// deadline of its own.
+// DefaultPerHopTimeout bounds each hop's CONNECT exchange (and the first
+// hop's TCP dial) when the caller's context carries no deadline; a
+// context deadline governs alone.
 const DefaultPerHopTimeout = 10 * time.Second
 
 // Options parameterizes a chain dial. The zero value is usable.
 type Options struct {
 	// Dialer opens the TCP leg to the first hop (default net.Dialer).
 	Dialer relay.Dialer
-	// PerHopTimeout bounds each hop's CONNECT exchange (and the first
-	// hop's TCP dial). 0 defaults to DefaultPerHopTimeout unless the
-	// caller's context already carries a deadline, which then governs
-	// alone; negative disables the per-hop bound entirely.
-	PerHopTimeout time.Duration
 	// Tracer records one chain.hop span per relay, each parented under
 	// the previous hop's span (hop 0 parents under the context carried
 	// in ctx), so a trace shows the preamble walking down the chain. Nil
@@ -84,7 +79,7 @@ func Dial(ctx context.Context, hops []string, target string, opts Options) (net.
 	if d == nil {
 		d = &net.Dialer{}
 	}
-	dialCtx, cancel := hopContext(ctx, opts)
+	dialCtx, cancel := hopContext(ctx)
 	conn, err := d.DialContext(dialCtx, "tcp", hops[0])
 	cancel()
 	if err != nil {
@@ -112,7 +107,7 @@ func Connect(ctx context.Context, conn net.Conn, hops []string, target string, o
 			next = hops[i+1]
 		}
 		span := opts.Tracer.Continue("chain.hop", parent)
-		hopCtx, cancel := hopContext(ctx, opts)
+		hopCtx, cancel := hopContext(ctx)
 		if span != nil {
 			hopCtx = flowtrace.NewGoContext(hopCtx, span.Context())
 		}
@@ -136,18 +131,11 @@ func Connect(ctx context.Context, conn net.Conn, hops []string, target string, o
 	return conn, nil
 }
 
-// hopContext derives one hop's deadline-bounded context per the Options
-// rules documented on PerHopTimeout.
-func hopContext(ctx context.Context, opts Options) (context.Context, context.CancelFunc) {
-	switch {
-	case opts.PerHopTimeout > 0:
-		return context.WithTimeout(ctx, opts.PerHopTimeout)
-	case opts.PerHopTimeout < 0:
+// hopContext bounds one hop by ctx's deadline or, when ctx has none, by
+// DefaultPerHopTimeout.
+func hopContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if _, ok := ctx.Deadline(); ok {
 		return ctx, func() {}
-	default:
-		if _, ok := ctx.Deadline(); ok {
-			return ctx, func() {}
-		}
-		return context.WithTimeout(ctx, DefaultPerHopTimeout)
 	}
+	return context.WithTimeout(ctx, DefaultPerHopTimeout)
 }

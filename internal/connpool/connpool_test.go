@@ -110,6 +110,13 @@ func relayStatus(addr string, down bool) pathmon.RouteStatus {
 	return pathmon.RouteStatus{Route: pathmon.MakeRoute(addr), Down: down}
 }
 
+// bestRanker ranks the one relay at addr as the committed best route.
+func bestRanker(addr string) *fakeRanker {
+	rk := &fakeRanker{}
+	rk.set(pathmon.MakeRoute(addr), true, []pathmon.RouteStatus{relayStatus(addr, false)})
+	return rk
+}
+
 // waitIdle polls until relayAddr has exactly want warm connections.
 func waitIdle(t *testing.T, p *Pool, relayAddr string, want int) {
 	t.Helper()
@@ -130,7 +137,7 @@ func counter(reg *obs.Registry, name string) int64 {
 func TestStaticWarmAndCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 2, Obs: reg})
+	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 2, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 2)
 
@@ -148,7 +155,7 @@ func TestStaticWarmAndCheckout(t *testing.T) {
 
 func TestMissOnEmptyPool(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := New(Config{Relays: []string{"127.0.0.1:1"}, Obs: reg,
+	p := New(Config{Ranker: bestRanker("127.0.0.1:1"), Obs: reg,
 		FillInterval: time.Hour, DialTimeout: 100 * time.Millisecond})
 	defer p.Close()
 
@@ -158,7 +165,7 @@ func TestMissOnEmptyPool(t *testing.T) {
 	if got := counter(reg, "cronets_connpool_misses_total"); got != 1 {
 		t.Errorf("misses = %d, want 1", got)
 	}
-	// The dead static relay's failed warm dials are counted.
+	// The dead relay's failed warm dials are counted.
 	deadline := time.Now().Add(5 * time.Second)
 	for counter(reg, "cronets_connpool_fill_errors_total") == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -171,7 +178,7 @@ func TestMissOnEmptyPool(t *testing.T) {
 func TestExpiryRetiresOldConns(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 1,
+	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1,
 		IdleTTL: 50 * time.Millisecond, FillInterval: 10 * time.Millisecond, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 1)
@@ -191,7 +198,7 @@ func TestExpiryAtCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
 	// FillInterval huge: only Get's own TTL check can retire the conn.
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 1,
+	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1,
 		IdleTTL: 30 * time.Millisecond, FillInterval: time.Hour, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 1)
@@ -208,7 +215,7 @@ func TestExpiryAtCheckout(t *testing.T) {
 func TestDeadConnDetectedAtCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 2,
+	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 2,
 		FillInterval: time.Hour, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 2)
@@ -272,10 +279,14 @@ func TestConcurrentCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
 	const size = 8
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: size,
-		FillInterval: time.Hour, Obs: reg})
+	// No background filler: it would re-warm the relay while the
+	// checkouts race, handing out more than size conns.
+	p := newPool(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: size, Obs: reg})
 	defer p.Close()
-	waitIdle(t, p, srv.addr(), size)
+	p.Fill()
+	if got := p.Idle(srv.addr()); got != size {
+		t.Fatalf("idle = %d after fill, want %d", got, size)
+	}
 
 	// 4x more checkouts than warm conns, all at once: every warm conn is
 	// handed out exactly once (no double-checkout), the rest miss.
@@ -315,7 +326,7 @@ func TestConcurrentCheckout(t *testing.T) {
 
 func TestCloseRetiresEverything(t *testing.T) {
 	srv := newAcceptServer(t)
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 3,
+	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 3,
 		FillInterval: time.Hour})
 	waitIdle(t, p, srv.addr(), 3)
 	if err := p.Close(); err != nil {
@@ -359,7 +370,7 @@ func TestIdleTTLMeasuredFromParkTime(t *testing.T) {
 	now := time.Unix(1000, 0)
 	adv := func(d time.Duration) { now = now.Add(d) }
 	p := newPool(Config{
-		Relays: []string{srv.addr()}, SizePerRelay: 1, IdleTTL: time.Minute,
+		Ranker: bestRanker(srv.addr()), SizePerRelay: 1, IdleTTL: time.Minute,
 		Dialer: &slowClockDialer{inner: &net.Dialer{}, advance: adv, delay: 45 * time.Second},
 		Obs:    reg,
 	})

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -138,15 +137,10 @@ type Gateway struct {
 	flowDur *obs.Histogram
 	pool    *connpool.Pool // nil when pooling is disabled
 
-	mu     sync.Mutex
-	closed bool
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	// srv owns listener mode's accept loop and shutdown; flows dial under
+	// its context, so Close aborts dials in flight.
+	srv pipe.Server
 }
-
-// ErrGatewayClosed is returned by Serve after Close.
-var ErrGatewayClosed = errors.New("gateway: closed")
 
 // New creates a Gateway.
 func New(cfg Config) (*Gateway, error) {
@@ -170,11 +164,7 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Dialer == nil {
 		cfg.Dialer = &net.Dialer{}
 	}
-	g := &Gateway{
-		cfg:   cfg,
-		stats: &Stats{},
-		conns: make(map[net.Conn]struct{}),
-	}
+	g := &Gateway{cfg: cfg, stats: &Stats{}}
 	if cfg.PoolSize > 0 && cfg.Monitor != nil {
 		g.pool = connpool.New(connpool.Config{
 			SizePerRelay: cfg.PoolSize,
@@ -188,6 +178,10 @@ func New(cfg Config) (*Gateway, error) {
 		})
 	}
 	g.instrument(cfg.Obs)
+	g.srv.OnAcceptError = func(err error, backoff time.Duration) {
+		g.stats.AcceptErrors.Add(1)
+		g.scope.Logger().Warn("gateway accept failed, retrying", "err", err, "backoff", backoff.String())
+	}
 	return g, nil
 }
 
@@ -373,116 +367,29 @@ func (g *Gateway) dialRoute(ctx context.Context, r pathmon.Route) (conn net.Conn
 // Serve runs listener mode: every accepted connection is dialed through
 // Dial and piped to the destination. Established flows keep their path;
 // re-ranking only steers subsequent accepts. It always returns a non-nil
-// error (ErrGatewayClosed after a clean shutdown). On a gateway that is
-// already closed it closes ln, as net/http.Server.Serve does.
+// error (pipe.ErrServerClosed after a clean shutdown). On a gateway that
+// is already closed it closes ln, as net/http.Server.Serve does.
 func (g *Gateway) Serve(ln net.Listener) error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		_ = ln.Close()
-		return ErrGatewayClosed
-	}
-	g.ln = ln
-	g.mu.Unlock()
-	var acceptDelay time.Duration
-	for {
-		down, err := ln.Accept()
-		if err != nil {
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed {
-				return ErrGatewayClosed
-			}
-			// Transient accept failures (ECONNABORTED, EMFILE under
-			// load) must not kill the whole gateway: retry with bounded
-			// exponential backoff, net/http.Server-style.
-			if ne, ok := err.(net.Error); ok && ne.Temporary() { //nolint:staticcheck // the net/http.Server accept-retry idiom
-				g.stats.AcceptErrors.Add(1)
-				if acceptDelay == 0 {
-					acceptDelay = 5 * time.Millisecond
-				} else if acceptDelay *= 2; acceptDelay > time.Second {
-					acceptDelay = time.Second
-				}
-				g.scope.Logger().Warn("gateway accept failed, retrying",
-					"err", err, "backoff", acceptDelay.String())
-				time.Sleep(acceptDelay)
-				continue
-			}
-			return fmt.Errorf("gateway: accept: %w", err)
-		}
-		acceptDelay = 0
-		g.stats.Accepted.Add(1)
-		if !g.track(down) {
-			// Lost the race with Close: the conn is already closed, and
-			// starting a handler would outlive the Close's wg.Wait.
-			return ErrGatewayClosed
-		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			defer g.untrack(down)
-			g.handle(down)
-		}()
-	}
+	return g.srv.Serve(ln, g.admit)
 }
 
-// Addr returns the listener address ("" outside listener mode).
-func (g *Gateway) Addr() net.Addr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ln == nil {
-		return nil
-	}
-	return g.ln.Addr()
+// admit gives every accepted connection a flow.
+func (g *Gateway) admit(net.Conn) func(net.Conn) {
+	g.stats.Accepted.Add(1)
+	return g.handle
 }
 
-// Close stops the listener (if any), closes live flows, and retires the
-// warm connection pool.
+// Addr returns the listener address (nil outside listener mode).
+func (g *Gateway) Addr() net.Addr { return g.srv.Addr() }
+
+// Close stops the listener (if any), aborts dials in flight, closes live
+// flows, and retires the warm connection pool.
 func (g *Gateway) Close() error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	g.closed = true
-	ln := g.ln
-	for c := range g.conns {
-		_ = c.Close()
-	}
-	g.mu.Unlock()
+	err := g.srv.Close()
 	if g.pool != nil {
 		_ = g.pool.Close()
 	}
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	g.wg.Wait()
 	return err
-}
-
-// track registers a conn for Close's sweep. A conn that arrives
-// concurrently with Close — after the sweep ran — is closed on the spot
-// and not registered (reported as false): pre-fix it missed the sweep
-// and Close blocked on wg.Wait until the idle timeout reaped the flow.
-func (g *Gateway) track(c net.Conn) bool {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		_ = c.Close()
-		return false
-	}
-	g.conns[c] = struct{}{}
-	g.mu.Unlock()
-	return true
-}
-
-func (g *Gateway) untrack(c net.Conn) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.conns, c)
-	_ = c.Close()
 }
 
 // handle pipes one accepted connection to the destination. Each flow is
@@ -491,7 +398,7 @@ func (g *Gateway) untrack(c net.Conn) {
 func (g *Gateway) handle(down net.Conn) {
 	flow := g.cfg.Tracer.Start("gateway.flow", flowtrace.Context{})
 	defer flow.End()
-	ctx := flowtrace.NewGoContext(context.Background(), flow.Context())
+	ctx := flowtrace.NewGoContext(g.srv.Context(), flow.Context())
 
 	up, route, err := g.Dial(ctx)
 	if err != nil {
@@ -499,13 +406,11 @@ func (g *Gateway) handle(down net.Conn) {
 		g.scope.Logger().Warn("gateway dial failed", "err", err)
 		return
 	}
-	if !g.track(up) {
-		// The gateway closed while we were dialing: the upstream leg was
-		// closed by track; drop the flow.
+	if !g.srv.Track(up) {
 		flow.SetDetail("closed during dial")
 		return
 	}
-	defer g.untrack(up)
+	defer g.srv.Untrack(up)
 	if flow != nil {
 		// Route.String() already carries the "via" prefix for overlay
 		// routes ("direct", "via a", "via a>b>c").
@@ -543,6 +448,4 @@ func (g *Gateway) handle(down net.Conn) {
 	if err != nil {
 		g.scope.Logger().Debug("gateway flow ended with error", "err", err)
 	}
-	_ = down.Close()
-	_ = up.Close()
 }

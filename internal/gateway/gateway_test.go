@@ -6,13 +6,16 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cronets/internal/measure"
 	"cronets/internal/obs"
 	"cronets/internal/pathmon"
+	"cronets/internal/pipe"
 	"cronets/internal/relay"
+	"cronets/internal/servertest"
 )
 
 // echoServer accepts connections and echoes everything back.
@@ -208,8 +211,8 @@ func TestServeListenerMode(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != ErrGatewayClosed {
-		t.Fatalf("Serve returned %v, want ErrGatewayClosed", err)
+	if err := <-done; !errors.Is(err, pipe.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want pipe.ErrServerClosed", err)
 	}
 	st := g.Stats()
 	if st.Accepted.Load() != 1 || st.BytesUp.Load() != int64(len(payload)) {
@@ -281,30 +284,9 @@ func TestIdleTimeoutClosesDeadFlow(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != ErrGatewayClosed {
-		t.Fatalf("Serve returned %v, want ErrGatewayClosed", err)
+	if err := <-done; !errors.Is(err, pipe.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want pipe.ErrServerClosed", err)
 	}
-}
-
-// flakyListener injects n temporary accept errors before delegating to
-// the real listener — EMFILE/ECONNABORTED bursts under load.
-type flakyListener struct {
-	net.Listener
-	remaining int
-}
-
-type tempErr struct{}
-
-func (tempErr) Error() string   { return "accept: transient resource exhaustion" }
-func (tempErr) Timeout() bool   { return false }
-func (tempErr) Temporary() bool { return true }
-
-func (f *flakyListener) Accept() (net.Conn, error) {
-	if f.remaining > 0 {
-		f.remaining--
-		return nil, tempErr{}
-	}
-	return f.Listener.Accept()
 }
 
 // TestServeRetriesTemporaryAcceptErrors: transient Accept failures must
@@ -323,7 +305,7 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	}
 	const bursts = 3
 	done := make(chan error, 1)
-	go func() { done <- g.Serve(&flakyListener{Listener: ln, remaining: bursts}) }()
+	go func() { done <- g.Serve(servertest.EMFILEListener(ln, bursts)) }()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -344,8 +326,8 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != ErrGatewayClosed {
-		t.Fatalf("Serve returned %v, want ErrGatewayClosed", err)
+	if err := <-done; !errors.Is(err, pipe.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want pipe.ErrServerClosed", err)
 	}
 }
 
@@ -384,34 +366,86 @@ func TestDialDirectStaysInsideAttemptCap(t *testing.T) {
 	}
 }
 
-// TestTrackAfterCloseClosesConn: a conn that loses the race with Close —
-// accepted or dialed after the shutdown sweep ran — must be closed by
-// track instead of silently registered, where it would dangle past
-// Close's wg.Wait with nothing left to reap it.
-func TestTrackAfterCloseClosesConn(t *testing.T) {
+// stallDialer dials normally for its first dials, then parks each
+// further dial until its context ends (a destination whose SYNs go
+// unanswered), signalling stalled.
+type stallDialer struct {
+	passes  atomic.Int32 // dials left to pass through
+	stalled chan struct{}
+}
+
+func (d *stallDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
+	if d.passes.Add(-1) >= 0 {
+		var nd net.Dialer
+		return nd.DialContext(ctx, network, addr)
+	}
+	d.stalled <- struct{}{}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestCloseAbortsDialInFlight: Close with two live flows and a third
+// still dialing returns at once — it cancels the dial instead of waiting
+// out DialTimeout (10 s) — and gives back every goroutine and socket.
+func TestCloseAbortsDialInFlight(t *testing.T) {
 	dest := echoServer(t)
-	g, err := New(Config{Dest: dest.String()})
+	check := servertest.CheckLeaks(t)
+	d := &stallDialer{stalled: make(chan struct{}, 1)}
+	d.passes.Store(2)
+	g, err := New(Config{Dest: dest.String(), Dialer: d})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- g.Serve(ln) }()
+
+	var clients []net.Conn
+	for i := 0; i < 3; i++ {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, conn)
+		if i == 2 {
+			break
+		}
+		buf := []byte("live")
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			t.Fatalf("echo on flow %d: %v", i, err)
+		}
+	}
+	select {
+	case <-d.stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("third flow never dialed")
+	}
+
+	start := time.Now()
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	local, remote := net.Pipe()
-	defer remote.Close()
-	if g.track(local) {
-		t.Fatal("track registered a conn after Close")
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with a dial in flight, want < 1 s", took)
 	}
-	// track must have closed the conn: the peer sees EOF promptly.
-	_ = remote.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := remote.Read(make([]byte, 1)); err == nil {
-		t.Fatal("conn tracked after Close was left open")
+	if err := <-done; !errors.Is(err, pipe.ErrServerClosed) {
+		t.Errorf("Serve returned %v, want pipe.ErrServerClosed", err)
 	}
+	for _, c := range clients {
+		_ = c.Close()
+	}
+	check()
 }
 
 // TestServeAfterCloseClosesListener: Serve on a closed gateway returns
-// ErrGatewayClosed and, like net/http.Server.Serve, closes the listener it
+// pipe.ErrServerClosed and, like net/http.Server.Serve, closes the listener it
 // was handed instead of leaking it.
 func TestServeAfterCloseClosesListener(t *testing.T) {
 	g, err := New(Config{Dest: "127.0.0.1:1"})
@@ -426,8 +460,8 @@ func TestServeAfterCloseClosesListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if err := g.Serve(ln); err != ErrGatewayClosed {
-		t.Fatalf("Serve after Close = %v, want ErrGatewayClosed", err)
+	if err := g.Serve(ln); !errors.Is(err, pipe.ErrServerClosed) {
+		t.Fatalf("Serve after Close = %v, want pipe.ErrServerClosed", err)
 	}
 	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("Accept on the served listener = %v, want net.ErrClosed", err)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"cronets/internal/obs"
@@ -32,74 +31,31 @@ const probeSize = 16
 
 // Server is a measurement responder (sink + echo).
 type Server struct {
-	ln net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	ln  net.Listener
+	srv pipe.Server
 }
-
-// ErrServerClosed is returned by Serve after Close.
-var ErrServerClosed = errors.New("measure: server closed")
 
 // NewServer wraps a listener as a measurement server.
 func NewServer(ln net.Listener) *Server {
-	return &Server{ln: ln, conns: make(map[net.Conn]struct{})}
+	return &Server{ln: ln}
 }
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Serve accepts and handles measurement connections until Close.
+// Serve accepts and handles measurement connections until Close. It
+// always returns a non-nil error (pipe.ErrServerClosed after Close).
 func (s *Server) Serve() error {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return ErrServerClosed
-			}
-			return fmt.Errorf("measure: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return ErrServerClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				_ = conn.Close()
-			}()
-			s.handle(conn)
-		}()
-	}
+	return s.srv.Serve(s.ln, s.admit)
 }
+
+// admit serves every accepted connection.
+func (s *Server) admit(net.Conn) func(net.Conn) { return s.handle }
 
 // Close stops the server and closes live connections.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
+	err := s.srv.Close()
+	_ = s.ln.Close() // a server closed before Serve still owns its listener
 	return err
 }
 

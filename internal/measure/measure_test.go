@@ -6,6 +6,9 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"cronets/internal/pipe"
+	"cronets/internal/servertest"
 )
 
 func startServer(t *testing.T) *Server {
@@ -92,12 +95,51 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		if err != ErrServerClosed {
+		if !errors.Is(err, pipe.ErrServerClosed) {
 			t.Errorf("Serve returned %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return")
 	}
+}
+
+// TestServeSurvivesEMFILE: accept failing with EMFILE (the process is
+// out of file descriptors) must not end Serve, and Close with live echo
+// and sink flows gives back every goroutine and socket.
+func TestServeSurvivesEMFILE(t *testing.T) {
+	check := servertest.CheckLeaks(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(servertest.EMFILEListener(ln, 3))
+	done := make(chan error, 1)
+	go func() { done <- s.Serve() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	echo, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ProbeRTTContext(ctx, echo, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	sink, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.Write([]byte{modeSink, 0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, pipe.ErrServerClosed) {
+		t.Errorf("Serve returned %v, want pipe.ErrServerClosed", err)
+	}
+	_ = echo.Close()
+	_ = sink.Close()
+	check()
 }
 
 func TestUnknownModeIgnored(t *testing.T) {

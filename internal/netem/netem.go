@@ -86,16 +86,10 @@ type Proxy struct {
 	refused    *obs.Counter
 	scope      *obs.Scope
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	// stopc releases blackholed directions on Close.
-	stopc chan struct{}
-	wg    sync.WaitGroup
+	// srv owns the accept loop and shutdown; its context, cancelled by
+	// Close, aborts upstream dials and releases blackholed directions.
+	srv pipe.Server
 }
-
-// ErrProxyClosed is returned by Serve after Close.
-var ErrProxyClosed = errors.New("netem: closed")
 
 // New creates a shaping proxy listening on ln and forwarding to target.
 func New(ln net.Listener, target string, cfg Config) *Proxy {
@@ -113,8 +107,6 @@ func New(ln net.Listener, target string, cfg Config) *Proxy {
 		up:     cfg.Up,
 		down:   cfg.Down,
 		rng:    rand.New(rand.NewSource(seed)),
-		conns:  make(map[net.Conn]struct{}),
-		stopc:  make(chan struct{}),
 	}
 	p.refuseN.Store(int64(cfg.Faults.RefuseConns))
 	p.shapedUp = cfg.Obs.Counter(obs.Label("cronets_netem_shaped_bytes_total", "dir", "up"),
@@ -175,72 +167,38 @@ func (p *Proxy) jitter(max time.Duration) time.Duration {
 // Addr returns the proxy's listen address.
 func (p *Proxy) Addr() net.Addr { return p.ln.Addr() }
 
-// Serve accepts and shapes connections until Close.
+// Serve accepts and shapes connections until Close. It always returns a
+// non-nil error (pipe.ErrServerClosed after a clean shutdown).
 func (p *Proxy) Serve() error {
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
-				return ErrProxyClosed
-			}
-			return fmt.Errorf("netem: accept: %w", err)
-		}
-		idx := p.connSeq.Add(1) - 1
-		if p.tryRefuse(idx) {
-			_ = conn.Close()
-			continue
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.handle(idx, conn)
-		}()
+	return p.srv.Serve(p.ln, p.admit)
+}
+
+// admit numbers connections in accept order, so fault rules can target
+// "the Nth connection", and spends the refuse budget.
+func (p *Proxy) admit(net.Conn) func(net.Conn) {
+	idx := p.connSeq.Add(1) - 1
+	if p.tryRefuse(idx) {
+		return nil
 	}
+	return func(down net.Conn) { p.handle(idx, down) }
 }
 
 // Close stops the proxy and closes live connections.
 func (p *Proxy) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	close(p.stopc)
-	for c := range p.conns {
-		_ = c.Close()
-	}
-	p.mu.Unlock()
-	err := p.ln.Close()
-	p.wg.Wait()
+	err := p.srv.Close()
+	_ = p.ln.Close() // a proxy closed before Serve still owns its listener
 	return err
 }
 
 func (p *Proxy) handle(idx int64, down net.Conn) {
-	defer down.Close()
-	up, err := net.DialTimeout("tcp", p.target, 10*time.Second)
-	if err != nil {
+	ctx, cancel := context.WithTimeout(p.srv.Context(), 10*time.Second)
+	var d net.Dialer
+	up, err := d.DialContext(ctx, "tcp", p.target)
+	cancel()
+	if err != nil || !p.srv.Track(up) {
 		return
 	}
-	defer up.Close()
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.conns[down] = struct{}{}
-	p.conns[up] = struct{}{}
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		delete(p.conns, down)
-		delete(p.conns, up)
-		p.mu.Unlock()
-	}()
+	defer p.srv.Untrack(up)
 
 	upRules, downRules, all := p.armFaults(idx, down, up)
 	defer func() {
@@ -342,7 +300,7 @@ func (s *shaper) shape(chunk []byte, write pipe.WriteFunc) error {
 		// both sockets open — the silent-failure mode.
 		for _, a := range s.rules {
 			if a.blackhole.Load() {
-				<-p.stopc
+				<-p.srv.Context().Done()
 				return errBlackholed
 			}
 		}

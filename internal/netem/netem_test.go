@@ -1,10 +1,14 @@
 package netem
 
 import (
+	"errors"
 	"io"
 	"net"
 	"testing"
 	"time"
+
+	"cronets/internal/pipe"
+	"cronets/internal/servertest"
 )
 
 // echoServer echoes bytes back.
@@ -150,12 +154,50 @@ func TestCloseUnblocksServe(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		if err != ErrProxyClosed {
+		if !errors.Is(err, pipe.ErrServerClosed) {
 			t.Errorf("Serve returned %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return")
 	}
+}
+
+// TestServeSurvivesEMFILE: accept failing with EMFILE (the process is
+// out of file descriptors) must not end Serve, and Close with a live
+// flow gives back every goroutine and socket.
+func TestServeSurvivesEMFILE(t *testing.T) {
+	echo := echoServer(t)
+	check := servertest.CheckLeaks(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(servertest.EMFILEListener(ln, 3), echo.Addr().String(), Config{})
+	done := make(chan error, 1)
+	go func() { done <- p.Serve() }()
+	conn, err := net.Dial("tcp", p.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("after EMFILE")
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, pipe.ErrServerClosed) {
+		t.Errorf("Serve returned %v, want pipe.ErrServerClosed", err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("live flow read %v after Close, want EOF", err)
+	}
+	_ = conn.Close()
+	check()
 }
 
 func TestDeadTargetDropsClient(t *testing.T) {

@@ -1,13 +1,14 @@
 // Package pipe is the unified data-plane core of the real-socket overlay
-// stack: a size-classed buffer pool and the one implementation of the
+// stack: a size-classed buffer pool, the one implementation of the
 // bidirectional splice loop every forwarding layer (relay, gateway, netem,
-// tunnel, measure, multipath) runs on. The paper's throughput gains hinge
-// on the split-TCP relay path adding as little overhead as possible, so
-// the hot path here is allocation-free in steady state: copy buffers,
-// segment buffers, and frame scratch all come from the pool, and the loop
-// itself is written once, with correct TCP half-close propagation, idle
-// teardown, per-direction metering, and a per-chunk hook for shaping and
-// rate limiting.
+// tunnel, measure, multipath) runs on, and the one listener lifecycle
+// (Server) the relay, gateway, netem and measure servers share. The
+// paper's throughput gains hinge on the split-TCP relay path adding as
+// little overhead as possible, so the hot path here is allocation-free in
+// steady state: copy buffers, segment buffers, and frame scratch all come
+// from the pool, and the loop itself is written once, with correct TCP
+// half-close propagation, idle teardown, per-direction metering, and a
+// per-chunk hook for shaping and rate limiting.
 package pipe
 
 import (

@@ -16,7 +16,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -100,12 +99,6 @@ type Relay struct {
 	dialLatency *obs.Histogram
 	scope       *obs.Scope
 
-	// baseCtx is cancelled by Close so handlers parked in dial-retry
-	// backoff (or any other context-aware wait) unblock immediately
-	// instead of sleeping out their schedule.
-	baseCtx   context.Context
-	cancelAll context.CancelFunc
-
 	// pending counts CONNECT-mode sockets accepted but still waiting for
 	// their preamble. They do not burn a MaxConns slot (a warm
 	// connection pool keeps idle pre-CONNECT sockets open), but they are
@@ -113,16 +106,12 @@ type Relay struct {
 	// bounded without idle warm legs starving fresh arrivals.
 	pending atomic.Int64
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	// srv owns the accept loop and shutdown; its context, cancelled by
+	// Close, unblocks handlers parked in dial-retry backoff.
+	srv pipe.Server
 }
 
-// ErrRelayClosed is returned by Serve after Close.
-var ErrRelayClosed = errors.New("relay: closed")
-
-// errACLRejected marks a CONNECT refusal so Serve can count it in
+// errACLRejected marks a CONNECT refusal so serveConn can count it in
 // Stats.Rejected rather than Stats.Errors.
 var errACLRejected = errors.New("relay: target forbidden by ACL")
 
@@ -151,14 +140,11 @@ func New(ln net.Listener, cfg Config) *Relay {
 	if cfg.Dialer == nil {
 		cfg.Dialer = &net.Dialer{}
 	}
-	r := &Relay{
-		cfg:   cfg,
-		ln:    ln,
-		stats: &Stats{},
-		conns: make(map[net.Conn]struct{}),
-	}
-	r.baseCtx, r.cancelAll = context.WithCancel(context.Background())
+	r := &Relay{cfg: cfg, ln: ln, stats: &Stats{}}
 	r.instrument(cfg.Obs)
+	r.srv.OnAcceptError = func(err error, backoff time.Duration) {
+		r.scope.Logger().Warn("relay accept failed, retrying", "err", err, "backoff", backoff.String())
+	}
 	return r
 }
 
@@ -193,71 +179,38 @@ func (r *Relay) Addr() net.Addr { return r.ln.Addr() }
 func (r *Relay) Stats() *Stats { return r.stats }
 
 // Serve accepts and relays connections until Close. It always returns a
-// non-nil error (ErrRelayClosed after a clean shutdown).
+// non-nil error (pipe.ErrServerClosed after a clean shutdown).
 func (r *Relay) Serve() error {
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return ErrRelayClosed
-			}
-			return fmt.Errorf("relay: accept: %w", err)
-		}
-		// Reserve capacity atomically at accept time: the handler
-		// goroutine may not have run yet, so checking Active without
-		// reserving would let an accept burst sail past the cap.
-		//
-		// CONNECT mode defers the MaxConns reservation until the
-		// preamble arrives, so a warm connection pool can hold idle
-		// pre-CONNECT sockets open without starving real flows; the
-		// idle sockets are bounded by their own equal-sized pending cap.
-		reserved := r.cfg.Target != ""
-		if reserved {
-			if !r.reserve() {
-				_ = conn.Close()
-				r.stats.Overloaded.Add(1)
-				continue
-			}
-		} else if !r.reservePending() {
-			_ = conn.Close()
-			r.stats.Overloaded.Add(1)
-			continue
-		}
-		r.track(conn)
-		r.stats.Accepted.Add(1)
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer r.untrack(conn)
-			if err := r.handle(conn, reserved); err != nil {
-				if errors.Is(err, errACLRejected) {
-					r.stats.Rejected.Add(1)
-				} else {
-					r.stats.Errors.Add(1)
-				}
-			}
-		}()
+	return r.srv.Serve(r.ln, r.admit)
+}
+
+// admit runs on the accept loop. It reserves capacity atomically at
+// accept time: the handler goroutine has not run yet, so checking Active
+// without reserving would let an accept burst sail past the cap.
+//
+// CONNECT mode defers the MaxConns reservation until the preamble
+// arrives, so a warm connection pool can hold idle pre-CONNECT sockets
+// open without starving real flows; the idle sockets are bounded by
+// their own equal-sized pending cap.
+func (r *Relay) admit(net.Conn) func(net.Conn) {
+	var ok bool
+	if r.cfg.Target != "" {
+		ok = r.reserve()
+	} else {
+		ok = r.reservePending()
 	}
+	if !ok {
+		r.stats.Overloaded.Add(1)
+		return nil
+	}
+	r.stats.Accepted.Add(1)
+	return r.serveConn
 }
 
 // Close stops accepting, closes live connections, and waits for handlers.
 func (r *Relay) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	for c := range r.conns {
-		_ = c.Close()
-	}
-	r.mu.Unlock()
-	r.cancelAll()
-	err := r.ln.Close()
-	r.wg.Wait()
+	err := r.srv.Close()
+	_ = r.ln.Close() // a relay closed before Serve still owns its listener
 	return err
 }
 
@@ -293,25 +246,24 @@ func (r *Relay) reservePending() bool {
 
 func (r *Relay) releasePending() { r.pending.Add(-1) }
 
-func (r *Relay) track(c net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.conns[c] = struct{}{}
+// serveConn relays one admitted connection and counts its failure.
+func (r *Relay) serveConn(down net.Conn) {
+	if err := r.handle(down); err != nil {
+		if errors.Is(err, errACLRejected) {
+			r.stats.Rejected.Add(1)
+		} else {
+			r.stats.Errors.Add(1)
+		}
+	}
 }
 
-func (r *Relay) untrack(c net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.conns, c)
-	_ = c.Close()
-}
-
-// handle relays one downstream connection. In forward mode the caller
-// has already reserved MaxConns capacity (Stats.Active); in CONNECT mode
-// the caller reserved only a pending slot and the MaxConns reservation
+// handle relays one downstream connection. In forward mode admit has
+// already reserved MaxConns capacity (Stats.Active); in CONNECT mode
+// admit reserved only a pending slot and the MaxConns reservation
 // happens here, once the preamble arrives — an idle pre-CONNECT socket
 // (a gateway's warm connection pool) does not burn a relay slot.
-func (r *Relay) handle(down net.Conn, reserved bool) error {
+func (r *Relay) handle(down net.Conn) error {
+	reserved := r.cfg.Target != ""
 	defer func() {
 		if reserved {
 			r.stats.Active.Add(-1)
@@ -369,7 +321,7 @@ func (r *Relay) handle(down net.Conn, reserved bool) error {
 	// CONNECT mode — when the client hangs up mid-dial, so a caller that
 	// gives up cannot pin this goroutine (and its MaxConns slot) through
 	// the whole retry schedule.
-	dialCtx, cancelDial := context.WithCancel(r.baseCtx)
+	dialCtx, cancelDial := context.WithCancel(r.srv.Context())
 	stopWatch := r.watchAbort(down, br, cancelDial)
 	dialSpan := r.cfg.Tracer.Continue("relay.dial", tc)
 	up, err := r.dialUpstream(dialCtx, target)
@@ -387,9 +339,10 @@ func (r *Relay) handle(down net.Conn, reserved bool) error {
 	dialSpan.SetDetail(target)
 	dialSpan.End()
 	r.scope.Event(obs.EventDial, "ok "+target)
-	defer up.Close()
-	r.track(up)
-	defer r.untrack(up)
+	if !r.srv.Track(up) {
+		return nil // the relay closed during the dial
+	}
+	defer r.srv.Untrack(up)
 
 	if br != nil {
 		if _, err := io.WriteString(down, "OK\n"); err != nil {

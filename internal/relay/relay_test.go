@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	"cronets/internal/flowtrace"
+	"cronets/internal/pipe"
+	"cronets/internal/servertest"
 )
 
 // echoServer accepts connections and echoes everything back.
@@ -107,6 +110,9 @@ func TestFixedTargetForward(t *testing.T) {
 	if r.Stats().Accepted.Load() != 1 {
 		t.Errorf("accepted = %d", r.Stats().Accepted.Load())
 	}
+	// The echo can reach the client before the copy loop counts the
+	// bytes it wrote.
+	waitFor(t, func() bool { return r.Stats().BytesUp.Load() > 0 && r.Stats().BytesDown.Load() > 0 })
 	if r.Stats().BytesUp.Load() == 0 || r.Stats().BytesDown.Load() == 0 {
 		t.Error("byte counters not updated")
 	}
@@ -157,6 +163,8 @@ func TestConnectModeDialFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected dial failure via relay")
 	}
+	// The handler counts the error after writing the ERR reply.
+	waitFor(t, func() bool { return r.Stats().Errors.Load() > 0 })
 	if r.Stats().Errors.Load() == 0 {
 		t.Error("error counter not incremented")
 	}
@@ -258,12 +266,124 @@ func TestCloseUnblocksServe(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrRelayClosed) {
-			t.Errorf("Serve returned %v, want ErrRelayClosed", err)
+		if !errors.Is(err, pipe.ErrServerClosed) {
+			t.Errorf("Serve returned %v, want pipe.ErrServerClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after Close")
 	}
+}
+
+// TestServeSurvivesEMFILE: accept failing with EMFILE (the process is
+// out of file descriptors) must not end Serve. In cronetsd a returned
+// Serve exits the process and drops every live flow.
+func TestServeSurvivesEMFILE(t *testing.T) {
+	echo := echoServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(servertest.EMFILEListener(ln, 3), Config{Target: echo.Addr().String()})
+	done := make(chan error, 1)
+	go func() { done <- r.Serve() }()
+	conn, err := net.Dial("tcp", r.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if got := roundtrip(t, conn, "after EMFILE"); got != "after EMFILE" {
+		t.Errorf("echo = %q", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, pipe.ErrServerClosed) {
+		t.Errorf("Serve returned %v, want pipe.ErrServerClosed", err)
+	}
+}
+
+// lateListener hands Serve one more connection once its listener is
+// closed: the accept that races Close.
+type lateListener struct {
+	net.Listener
+	late net.Conn // only the serving goroutine calls Accept
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil && l.late != nil {
+		c, l.late = l.late, nil
+		return c, nil
+	}
+	return c, err
+}
+
+// tcpPair returns the two ends of a loopback TCP connection.
+func tcpPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err = ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client, server
+}
+
+// TestAcceptDuringCloseIsClosed: a connection accepted while Close runs
+// is closed at once, not served: its handler would hold Close, or outlive
+// it, while waiting up to IdleTimeout for a CONNECT line. Close with live
+// flows gives back every goroutine and socket.
+func TestAcceptDuringCloseIsClosed(t *testing.T) {
+	echo := echoServer(t)
+	check := servertest.CheckLeaks(t)
+	lateClient, late := tcpPair(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(&lateListener{Listener: ln, late: late}, Config{IdleTimeout: 3 * time.Second})
+	done := make(chan error, 1)
+	go func() { done <- r.Serve() }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	clients := []net.Conn{lateClient}
+	for i := 0; i < 2; i++ {
+		conn, err := dialVia(ctx, r.Addr().String(), echo.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, conn)
+		if got := roundtrip(t, conn, "live"); got != "live" {
+			t.Fatalf("echo = %q", got)
+		}
+	}
+	start := time.Now()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v, want < 1 s", took)
+	}
+	if err := <-done; !errors.Is(err, pipe.ErrServerClosed) {
+		t.Errorf("Serve returned %v, want pipe.ErrServerClosed", err)
+	}
+	for i, c := range clients {
+		_ = c.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("client %d still open 1 s after Close (read: %v)", i, err)
+		}
+		_ = c.Close()
+	}
+	check()
 }
 
 func TestChainedRelays(t *testing.T) {
@@ -675,6 +795,8 @@ func TestConnectModeOverloadAtPreamble(t *testing.T) {
 	if !strings.Contains(err.Error(), "overloaded") {
 		t.Errorf("err = %v, want ERR overloaded refusal", err)
 	}
+	// The handler counts the refusal after writing the ERR reply.
+	waitFor(t, func() bool { return r.Stats().Overloaded.Load() == 1 })
 	if got := r.Stats().Overloaded.Load(); got != 1 {
 		t.Errorf("overloaded = %d, want 1", got)
 	}
