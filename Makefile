@@ -26,10 +26,13 @@
 #                     relay, gateway, netem and measure servers on it, plus
 #                     connpool and chain) five times over under -race, so a
 #                     flaky close or accept race shows up as a failure
+#   make fuzz-smoke   a few seconds of native Go fuzzing on each wire
+#                     parser that reads bytes from the network (the relay's
+#                     CONNECT line), starting from its testdata/fuzz corpus
 
 GO ?= go
 
-.PHONY: build test test-short race race-repeat vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke
+.PHONY: build test test-short race race-repeat vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -95,3 +98,7 @@ bench-smoke:
 # The benchmark is a separate Go module, so the root ./... never reaches it.
 benchmark-smoke:
 	cd benchmark && $(GO) test -short ./...
+
+# go test -fuzz takes one target per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseConnectTrace$$' -fuzztime 5s ./internal/relay

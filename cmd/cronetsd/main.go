@@ -92,7 +92,7 @@ func main() {
 	flag.StringVar(&o.target, "target", "", "fixed forward target (relay: empty = CONNECT mode; gateway: the fronted destination, required)")
 	flag.DurationVar(&o.idle, "idle-timeout", 5*time.Minute, "idle connection timeout")
 	flag.IntVar(&o.maxConn, "max-conns", 1024, "maximum concurrent relayed connections")
-	flag.IntVar(&o.bufKB, "buffer-kb", 256, "relay buffer per direction in KiB")
+	flag.IntVar(&o.bufKB, "buffer-kb", 256, "largest copy buffer per direction in KiB, relay or gateway (each direction starts at 4 KiB and grows to this on its first full read)")
 	flag.StringVar(&o.allow, "allow", "", "comma-separated CIDRs CONNECT targets must fall in (empty = open relay)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /healthz on this address (empty = disabled)")
 	flag.DurationVar(&o.statsEvery, "stats-interval", 30*time.Second, "period of the stats summary log line (0 = disabled)")

@@ -62,8 +62,10 @@ type Config struct {
 	// direction (default 5 min; negative disables). Without it a dead
 	// peer holds a gateway flow — and its relay slot — forever.
 	IdleTimeout time.Duration
-	// BufferBytes sizes each direction's pooled copy buffer in listener
-	// mode (default pipe.DefaultBufferBytes).
+	// BufferBytes caps each direction's pooled copy buffer in listener
+	// mode, and so the largest chunk one read moves (default
+	// pipe.DefaultBufferBytes). A direction starts on the pool's 4 KiB
+	// class and grows to BufferBytes on its first read that fills it.
 	BufferBytes int
 	// MaxAttempts caps how many ranked paths one Dial tries before
 	// giving up (default 3). The direct path always stays inside the

@@ -36,8 +36,10 @@ type Impairment struct {
 type Config struct {
 	// Up shapes client -> target; Down shapes target -> client.
 	Up, Down Impairment
-	// ChunkBytes is the shaping granularity (default 16 KiB). Smaller
-	// chunks emulate latency more faithfully at more CPU cost.
+	// ChunkBytes is the shaping granularity: the largest chunk the
+	// shaper delays as one (default 16 KiB). Smaller chunks emulate
+	// latency more faithfully at more CPU cost. A direction reads 4 KiB
+	// chunks until its first read fills one, then ChunkBytes.
 	ChunkBytes int
 	// Seed drives jitter and probabilistic fault arming; 0 uses a fixed
 	// default. All connections through a proxy share one seeded source,

@@ -44,8 +44,11 @@ type Hook func(dir Dir, chunk []byte, write WriteFunc) error
 
 // Options configures Bidirectional.
 type Options struct {
-	// BufferBytes sizes each direction's pooled copy buffer (default
-	// DefaultBufferBytes).
+	// BufferBytes caps each direction's pooled copy buffer, and so the
+	// largest chunk a read (and the Hook) sees (default
+	// DefaultBufferBytes). A direction starts on the pool's smallest
+	// class and grows to BufferBytes on its first read that fills that
+	// buffer.
 	BufferBytes int
 	// IdleTimeout tears the pair down when no byte moves in either
 	// direction for this long (0 disables).
@@ -169,10 +172,16 @@ func Bidirectional(ctx context.Context, a, b net.Conn, opts Options) (Result, er
 }
 
 // copyHalf pumps one direction with a pooled buffer until EOF or error.
-// The buffer is always returned to the pool, on every exit path.
+// It starts on the pool's smallest class (or BufferBytes, if smaller):
+// most relayed flows carry short messages, and a full buffer per
+// direction would sit mostly unused for their whole life. The first read
+// that fills the buffer shows a bulk flow; once that chunk is delivered
+// (the Hook contract), the small buffer goes back to the pool and a full
+// BufferBytes one takes its place. Whichever buffer is held is returned
+// on every exit path.
 func copyHalf(dst, src net.Conn, dir Dir, opts *Options, idle *idleWatch) (int64, error) {
-	buf := Get(opts.BufferBytes)
-	defer Put(buf)
+	buf := Get(min(opts.BufferBytes, classSizes[0]))
+	defer func() { Put(buf) }()
 
 	counter := opts.CountAToB
 	if dir == BToA {
@@ -219,6 +228,10 @@ func copyHalf(dst, src net.Conn, dir Dir, opts *Options, idle *idleWatch) (int64
 				return n, nil
 			}
 			return n, rerr
+		}
+		if rn == len(buf) && rn < opts.BufferBytes {
+			Put(buf)
+			buf = Get(opts.BufferBytes)
 		}
 	}
 }

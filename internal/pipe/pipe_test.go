@@ -32,24 +32,40 @@ func TestPoolSizeClasses(t *testing.T) {
 		{256 << 10, 256 << 10},
 	}
 	for _, c := range cases {
+		base := Stats().BytesInUse
 		b := Get(c.n)
 		if len(b) != c.n || cap(b) != c.wantCap {
 			t.Errorf("Get(%d): len=%d cap=%d, want len=%d cap=%d",
 				c.n, len(b), cap(b), c.n, c.wantCap)
 		}
+		if got := Stats().BytesInUse - base; got != int64(c.wantCap) {
+			t.Errorf("Get(%d): bytes in use +%d, want +%d (the class size)", c.n, got, c.wantCap)
+		}
 		Put(b)
+		if got := Stats().BytesInUse - base; got != 0 {
+			t.Errorf("Get(%d) then Put: bytes in use %+d, want 0", c.n, got)
+		}
 	}
-	// Oversize requests allocate exactly and are discarded on Put.
+	// Oversize requests allocate exactly and are discarded on Put; like
+	// foreign buffers, they are never counted in use.
 	before := Stats()
 	big := Get(300 << 10)
 	if len(big) != 300<<10 {
 		t.Fatalf("oversize Get: len=%d", len(big))
 	}
+	if got := Stats().BytesInUse - before.BytesInUse; got != 0 {
+		t.Errorf("oversize Get: bytes in use %+d, want 0", got)
+	}
 	Put(big)
+	Put(make([]byte, 100))
 	after := Stats()
-	if after.Discards != before.Discards+1 {
-		t.Errorf("oversize Put should discard: discards %d -> %d",
+	if after.Discards != before.Discards+2 {
+		t.Errorf("oversize and foreign Puts should discard: discards %d -> %d",
 			before.Discards, after.Discards)
+	}
+	if after.BytesInUse != before.BytesInUse {
+		t.Errorf("oversize and foreign buffers moved bytes in use %d -> %d",
+			before.BytesInUse, after.BytesInUse)
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 )
 
 // classSizes are the pool's buffer size classes: small (frame headers,
-// probe frames), medium (the default copy buffer and multipath segment
-// size), large (the split-TCP relay buffer). Requests above the largest
+// probe frames, and every copy buffer until its flow fills a read),
+// medium (the default copy buffer and multipath segment size), large
+// (the split-TCP relay buffer). Requests above the largest
 // class fall through to plain allocation.
 var classSizes = [...]int{4 << 10, 32 << 10, 256 << 10}
 
@@ -40,6 +41,9 @@ var (
 	poolMisses   atomic.Int64
 	poolPuts     atomic.Int64
 	poolDiscards atomic.Int64
+	// poolInUse is the bytes of size-class buffers handed out by Get and
+	// not yet Put back.
+	poolInUse atomic.Int64
 )
 
 // Get returns a buffer of length n, drawn from the smallest size class
@@ -51,6 +55,7 @@ func Get(n int) []byte {
 		if n > size {
 			continue
 		}
+		poolInUse.Add(int64(size))
 		if w, _ := pools[i].Get().(*[]byte); w != nil {
 			b := *w
 			*w = nil
@@ -83,12 +88,13 @@ func Put(b []byte) {
 		*w = b[:size]
 		pools[i].Put(w)
 		poolPuts.Add(1)
+		poolInUse.Add(-int64(size))
 		return
 	}
 	poolDiscards.Add(1)
 }
 
-// PoolStats is a snapshot of the pool's cumulative counters.
+// PoolStats is a snapshot of the pool's counters.
 type PoolStats struct {
 	// Hits and Misses count Get calls served from the pool vs freshly
 	// allocated (misses include oversize requests).
@@ -96,17 +102,22 @@ type PoolStats struct {
 	// Puts counts buffers returned to a class; Discards counts Put calls
 	// whose buffer matched no class and was dropped for the GC.
 	Puts, Discards int64
+	// BytesInUse is the capacity of the size-class buffers currently
+	// handed out: a class Get adds its class size, a class Put subtracts
+	// it. Oversize and foreign buffers are not counted.
+	BytesInUse int64
 }
 
-// Stats returns the pool's cumulative counters. Gets = Hits + Misses and
+// Stats returns the pool's counters. Gets = Hits + Misses and
 // Returns = Puts + Discards; a leak-free workload drains to
 // Gets == Returns once every buffer is released.
 func Stats() PoolStats {
 	return PoolStats{
-		Hits:     poolHits.Load(),
-		Misses:   poolMisses.Load(),
-		Puts:     poolPuts.Load(),
-		Discards: poolDiscards.Load(),
+		Hits:       poolHits.Load(),
+		Misses:     poolMisses.Load(),
+		Puts:       poolPuts.Load(),
+		Discards:   poolDiscards.Load(),
+		BytesInUse: poolInUse.Load(),
 	}
 }
 
@@ -122,4 +133,6 @@ func InstrumentPool(reg *obs.Registry) {
 		"Buffers returned to a size class.", poolPuts.Load)
 	reg.CounterFunc("cronets_pipe_pool_discards_total",
 		"Put buffers matching no size class, dropped for the GC.", poolDiscards.Load)
+	reg.GaugeFunc("cronets_pipe_pool_bytes_in_use",
+		"Bytes of size-class buffers handed out and not yet returned.", poolInUse.Load)
 }

@@ -6,10 +6,12 @@ package relay
 // closed on every error — each test asserts that too.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -108,6 +110,31 @@ func TestConnectGarbledReply(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "ERR forbidden") {
 		t.Errorf("err = %v, want the relay's ERR line preserved", err)
+	}
+}
+
+func TestConnectOverlongReply(t *testing.T) {
+	// A reply with no newline within connectReplyBytes is longer than any
+	// the relay sends: Connect stops reading there and reports a
+	// malformed reply, not a refusal, and closes the socket.
+	closed := make(chan error, 1)
+	addr := connectServer(t, func(c net.Conn) {
+		_, _ = c.Write(append(bytes.Repeat([]byte("E"), 4*connectReplyBytes), '\n'))
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := c.Read(make([]byte, 1))
+		closed <- err
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := dialVia(ctx, addr, "192.0.2.1:9")
+	if err == nil || !strings.Contains(err.Error(), "malformed connect reply") {
+		t.Fatalf("err = %v, want a malformed-reply error", err)
+	}
+	if errors.Is(err, ErrRefused) {
+		t.Errorf("overlong reply misclassified as refusal: %v", err)
+	}
+	if err := <-closed; err == nil || os.IsTimeout(err) {
+		t.Errorf("relay side read %v, want the socket closed by Connect", err)
 	}
 }
 

@@ -8,6 +8,7 @@ package relay
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -48,8 +49,11 @@ type Config struct {
 	// IdleTimeout closes connections with no traffic in either direction
 	// (default 5 min; 0 disables).
 	IdleTimeout time.Duration
-	// BufferBytes sizes each direction's copy buffer (default 256 KiB) —
-	// the relay buffer of a split-TCP proxy.
+	// BufferBytes caps each direction's copy buffer, and so the largest
+	// chunk one read moves (default 256 KiB): the relay buffer of a
+	// split-TCP proxy. A direction starts on the pool's 4 KiB class and
+	// grows to BufferBytes on its first read that fills it, so a
+	// connection that carries only small messages holds 2 x 4 KiB.
 	BufferBytes int
 	// MaxConns caps concurrent relayed connections (default 1024).
 	MaxConns int
@@ -278,23 +282,31 @@ func (r *Relay) handle(down net.Conn) error {
 		// The read deadline is the relay's IdleTimeout, not DialTimeout:
 		// a pooled pre-CONNECT socket legitimately sits quiet until its
 		// owner checks it out, and only then sends the preamble.
-		br = bufio.NewReader(down)
+		br = bufio.NewReaderSize(down, connectLineBytes)
 		if r.cfg.IdleTimeout > 0 {
 			_ = down.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
 		}
-		line, err := br.ReadString('\n')
+		line, err := br.ReadSlice('\n')
 		r.releasePending()
 		if err != nil {
-			if errors.Is(err, io.EOF) && line == "" {
+			if errors.Is(err, io.EOF) && len(line) == 0 {
 				// A warm socket closed cleanly before sending any
 				// preamble: normal pool churn (TTL expiry, pool
 				// shutdown), not an error.
 				return nil
 			}
+			if errors.Is(err, bufio.ErrBufferFull) {
+				// No newline within connectLineBytes: no valid request
+				// is this long, so stop reading instead of buffering
+				// whatever the client streams until the deadline.
+				_, _ = io.WriteString(down, "ERR bad request\n")
+			}
 			return fmt.Errorf("relay: read connect line: %w", err)
 		}
 		_ = down.SetReadDeadline(time.Time{})
-		t, lineCtx, err := ParseConnectTrace(line)
+		// string(line) copies the line out of br, whose buffer the dial
+		// watcher's Peek reuses.
+		t, lineCtx, err := ParseConnectTrace(string(line))
 		if err != nil {
 			_, _ = io.WriteString(down, "ERR bad request\n")
 			return err
@@ -492,6 +504,19 @@ func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flow
 // line: "CONNECT host:port TP=<48 hex chars>".
 const tracePrefix = "TP="
 
+// The handshake readers hold only the longest line each side accepts,
+// rather than bufio's 4 KiB default, for every pre-CONNECT socket a
+// relay keeps open. A line that fills its reader without a newline is
+// malformed.
+const (
+	// connectLineBytes fits the longest request: "CONNECT ", a 253-byte
+	// host, ":65535", " TP=", a 48-character token and "\r\n" make 322
+	// bytes.
+	connectLineBytes = 512
+	// connectReplyBytes fits "OK" and the relay's "ERR ..." replies.
+	connectReplyBytes = 64
+)
+
 // ParseConnectTrace parses a "CONNECT host:port [TP=<ctx>]" request
 // line, returning the target and the propagated trace context (zero when
 // absent or malformed — a bad trace token never fails the handshake,
@@ -553,16 +578,19 @@ func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error
 		_ = conn.Close()
 		return nil, connectAbortErr(ctx, fmt.Errorf("relay: send connect: %w", err))
 	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
+	br := bufio.NewReaderSize(conn, connectReplyBytes)
+	line, err := br.ReadSlice('\n')
 	if err != nil {
 		_ = conn.Close()
+		if errors.Is(err, bufio.ErrBufferFull) {
+			return nil, fmt.Errorf("relay: malformed connect reply: no newline in %d bytes", len(line))
+		}
 		return nil, connectAbortErr(ctx, fmt.Errorf("relay: read connect reply: %w", err))
 	}
 	_ = conn.SetDeadline(time.Time{})
-	if strings.TrimSpace(line) != "OK" {
+	if line = bytes.TrimSpace(line); string(line) != "OK" {
 		_ = conn.Close()
-		return nil, fmt.Errorf("%w: %s", ErrRefused, strings.TrimSpace(line))
+		return nil, fmt.Errorf("%w: %s", ErrRefused, line)
 	}
 	if br.Buffered() > 0 {
 		// The destination's first bytes (a server-first banner) came in

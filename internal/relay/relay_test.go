@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -151,6 +152,37 @@ func TestConnectModeBadRequest(t *testing.T) {
 	}
 	if !strings.HasPrefix(line, "ERR") {
 		t.Errorf("reply = %q, want ERR", line)
+	}
+}
+
+// TestConnectLineBounded: a client that streams bytes with no newline
+// gets "ERR bad request" once it has sent one reader's worth, not when
+// the pre-CONNECT deadline (IdleTimeout) expires; the relay counts an
+// error, the handler returns, and the rest of a 1 MiB stream is refused.
+func TestConnectLineBounded(t *testing.T) {
+	r := startRelay(t, Config{IdleTimeout: time.Minute})
+	conn, err := net.Dial("tcp", r.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	stream := bytes.Repeat([]byte("a"), 1<<20)
+	if _, err := conn.Write(stream[:connectLineBytes]); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	line, err := br.ReadString('\n')
+	if err != nil || line != "ERR bad request\n" {
+		t.Fatalf("reply to %d bytes without a newline = %q, %v; want ERR bad request", connectLineBytes, line, err)
+	}
+	waitFor(t, func() bool { return r.Stats().Errors.Load() == 1 && r.pending.Load() == 0 })
+	// The handler has returned and the connection is closed: the rest of
+	// the stream is refused or goes unread.
+	_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	_, _ = conn.Write(stream[connectLineBytes:])
+	if n, err := br.Read(make([]byte, 1)); err == nil {
+		t.Errorf("read %d more bytes after the ERR reply, want the connection closed", n)
 	}
 }
 
@@ -755,6 +787,40 @@ func TestIdlePreconnectDoesNotBurnSlot(t *testing.T) {
 	if got := roundtrip(t, late, "late leg"); got != "late leg" {
 		t.Errorf("echo = %q", got)
 	}
+}
+
+// TestIdleRelayedConnsHoldSmallBuffers: a relayed connection that has
+// carried only small messages holds one smallest-class pool buffer per
+// direction, not two 256 KiB (BufferBytes) ones.
+func TestIdleRelayedConnsHoldSmallBuffers(t *testing.T) {
+	const flows, smallest = 8, 4 << 10 // smallest: pipe's smallest size class
+	echo := echoServer(t)
+	r := startRelay(t, Config{})
+	base := pipe.Stats().BytesInUse
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	conns := make([]net.Conn, flows)
+	for i := range conns {
+		conn, err := dialVia(ctx, r.Addr().String(), echo.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// The echo came back, so both of this flow's directions hold
+		// their buffer.
+		if got := roundtrip(t, conn, "small"); got != "small" {
+			t.Fatalf("echo = %q", got)
+		}
+		conns[i] = conn
+	}
+	if got, want := pipe.Stats().BytesInUse-base, int64(flows*2*smallest); got != want {
+		t.Errorf("%d idle relayed conns hold %d pool bytes, want %d (%d x 2 x %d)",
+			flows, got, want, flows, smallest)
+	}
+	for _, conn := range conns {
+		_ = conn.Close()
+	}
+	waitFor(t, func() bool { return pipe.Stats().BytesInUse == base })
 }
 
 // TestPreconnectEOFIsNotAnError: a warm socket closed before sending any
