@@ -24,11 +24,14 @@
 #                     and sim_reallife's pinned seed-42 result digest
 #   make race-repeat  the listener-lifecycle packages (pipe.Server and the
 #                     relay, gateway, netem and measure servers on it, plus
-#                     connpool and chain) five times over under -race, so a
-#                     flaky close or accept race shows up as a failure
+#                     connpool and chain) and the wire-codec packages (obs,
+#                     flowtrace, tunnel, multipath) five times over under
+#                     -race, so a flaky close or accept race shows up as a
+#                     failure
 #   make fuzz-smoke   a few seconds of native Go fuzzing on each wire
 #                     parser that reads bytes from the network (the relay's
-#                     CONNECT line), starting from its testdata/fuzz corpus
+#                     CONNECT line, tunnel frames and packets, multipath
+#                     frame headers), starting from its testdata/fuzz corpus
 
 GO ?= go
 
@@ -48,7 +51,8 @@ race:
 
 race-repeat:
 	$(GO) test -race -count=5 ./internal/pipe/ ./internal/relay/ ./internal/gateway/ \
-		./internal/netem/ ./internal/measure/ ./internal/connpool/ ./internal/chain/
+		./internal/netem/ ./internal/measure/ ./internal/connpool/ ./internal/chain/ \
+		./internal/obs/ ./internal/flowtrace/ ./internal/tunnel/ ./internal/multipath/
 
 vet:
 	$(GO) vet ./...
@@ -102,3 +106,5 @@ benchmark-smoke:
 # go test -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConnectTrace$$' -fuzztime 5s ./internal/relay
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/tunnel
+	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 5s ./internal/multipath

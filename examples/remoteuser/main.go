@@ -15,6 +15,7 @@ import (
 	"net/netip"
 	"time"
 
+	"cronets/internal/flowtrace"
 	"cronets/internal/measure"
 	"cronets/internal/netem"
 	"cronets/internal/relay"
@@ -87,10 +88,10 @@ func tunnelDemo() error {
 		Dst:     netip.AddrPortFrom(serverAddr, 443),
 		Payload: []byte("GET /payroll"),
 	}
-	if err := user.Send(request); err != nil {
+	if err := user.Send(request, flowtrace.Context{}); err != nil {
 		return err
 	}
-	reply, err := user.Recv()
+	reply, _, err := user.Recv()
 	if err != nil {
 		return err
 	}

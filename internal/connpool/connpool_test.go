@@ -10,6 +10,7 @@ import (
 	"cronets/internal/obs"
 	"cronets/internal/pathmon"
 	"cronets/internal/relay"
+	"cronets/internal/servertest"
 )
 
 // acceptServer accepts and holds connections like a CONNECT-mode relay
@@ -410,4 +411,71 @@ func TestIdleTTLMeasuredFromParkTime(t *testing.T) {
 	if got := counter(reg, "cronets_connpool_expired_total"); got != 2 {
 		t.Errorf("expired = %d after fill-pass TTL sweep, want 2", got)
 	}
+}
+
+// gateDialer parks each warm dial until release closes, then dials for
+// real; dialing signals that a dial is parked.
+type gateDialer struct {
+	dialing chan struct{}
+	release chan struct{}
+}
+
+func (d *gateDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
+	select {
+	case d.dialing <- struct{}{}:
+	default:
+	}
+	select {
+	case <-d.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	var nd net.Dialer
+	return nd.DialContext(ctx, network, addr)
+}
+
+// TestCloseWithFillInFlight: a warm dial that completes while Close is
+// waiting for the filler is closed, not parked, and Close gives back
+// every goroutine and socket.
+func TestCloseWithFillInFlight(t *testing.T) {
+	check := servertest.CheckLeaks(t)
+	srv := newAcceptServer(t)
+	d := &gateDialer{dialing: make(chan struct{}, 1), release: make(chan struct{})}
+	p := New(Config{Ranker: bestRanker(srv.addr()), Dialer: d, FillInterval: time.Hour})
+	<-d.dialing // the filler's first Fill is mid-dial
+
+	closed := make(chan struct{})
+	go func() {
+		_ = p.Close()
+		close(closed)
+	}()
+	waitClosed(t, p)
+	close(d.release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	if got := p.TotalIdle(); got != 0 {
+		t.Errorf("TotalIdle = %d after Close, want 0", got)
+	}
+	_ = srv.ln.Close()
+	srv.closeAll()
+	check()
+}
+
+// waitClosed polls until Close has marked the pool closed.
+func waitClosed(t *testing.T, p *Pool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		p.mu.Lock()
+		closed := p.closed
+		p.mu.Unlock()
+		if closed {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("pool never marked closed")
 }

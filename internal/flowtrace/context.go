@@ -1,6 +1,9 @@
 package flowtrace
 
-import "encoding/hex"
+import (
+	"encoding/binary"
+	"encoding/hex"
+)
 
 // TraceID identifies one end-to-end flow trace.
 type TraceID [16]byte
@@ -38,27 +41,29 @@ func (c Context) IsZero() bool { return c.Trace.IsZero() }
 // EncodeBinary writes the 24-byte wire form into dst, which must hold at
 // least WireSize bytes, and returns WireSize.
 func (c Context) EncodeBinary(dst []byte) int {
-	_ = dst[WireSize-1]
 	copy(dst[:16], c.Trace[:])
 	word := c.Span &^ sampledBit
 	if c.Sampled {
 		word |= sampledBit
 	}
-	putUint64(dst[16:24], word)
+	binary.BigEndian.PutUint64(dst[16:WireSize], word)
 	return WireSize
 }
 
-// DecodeBinary parses a 24-byte wire context. ok is false if b is short
-// or the trace ID is zero.
+// DecodeBinary parses a 24-byte wire context. ok is false, and c the zero
+// Context, if b is short or the trace ID is zero.
 func DecodeBinary(b []byte) (c Context, ok bool) {
 	if len(b) < WireSize {
 		return Context{}, false
 	}
 	copy(c.Trace[:], b[:16])
-	word := getUint64(b[16:24])
+	if c.Trace.IsZero() {
+		return Context{}, false
+	}
+	word := binary.BigEndian.Uint64(b[16:WireSize])
 	c.Span = word &^ sampledBit
 	c.Sampled = word&sampledBit != 0
-	return c, !c.Trace.IsZero()
+	return c, true
 }
 
 // EncodeText returns the 48-hex-character text form used in the relay
@@ -69,61 +74,15 @@ func (c Context) EncodeText() string {
 	return hex.EncodeToString(wire[:])
 }
 
-// DecodeText parses the text form produced by EncodeText.
+// DecodeText parses the text form produced by EncodeText (either hex
+// case).
 func DecodeText(s string) (Context, bool) {
+	var wire [WireSize]byte
 	if len(s) != TextSize {
 		return Context{}, false
 	}
-	return decodeHex([]byte(s))
-}
-
-// DecodeTextBytes is DecodeText over a byte slice. It allocates nothing,
-// so transparent middleboxes (netem) can sniff passing handshakes at
-// zero cost when no context is present.
-func DecodeTextBytes(b []byte) (Context, bool) {
-	if len(b) != TextSize {
+	if _, err := hex.Decode(wire[:], []byte(s)); err != nil {
 		return Context{}, false
 	}
-	return decodeHex(b)
-}
-
-func decodeHex(b []byte) (Context, bool) {
-	var wire [WireSize]byte
-	for i := 0; i < WireSize; i++ {
-		hi, ok1 := hexNibble(b[2*i])
-		lo, ok2 := hexNibble(b[2*i+1])
-		if !ok1 || !ok2 {
-			return Context{}, false
-		}
-		wire[i] = hi<<4 | lo
-	}
 	return DecodeBinary(wire[:])
-}
-
-func hexNibble(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}
-
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	_ = b[7]
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

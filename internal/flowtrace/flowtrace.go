@@ -20,6 +20,7 @@ package flowtrace
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -161,8 +162,8 @@ func (t *Tracer) Start(name string, parent Context) *Span {
 	}
 	s := &Span{}
 	if root {
-		putUint64(s.Trace[:8], t.rnd())
-		putUint64(s.Trace[8:], t.rnd())
+		binary.BigEndian.PutUint64(s.Trace[:8], t.rnd())
+		binary.BigEndian.PutUint64(s.Trace[8:], t.rnd())
 	} else {
 		s.Trace = parent.Trace
 		s.Parent = parent.Span

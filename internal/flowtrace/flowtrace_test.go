@@ -42,9 +42,12 @@ func TestContextBinaryRejects(t *testing.T) {
 	if _, ok := DecodeBinary(make([]byte, WireSize-1)); ok {
 		t.Error("short buffer decoded ok")
 	}
-	// A zero trace ID is not a valid wire context.
-	if _, ok := DecodeBinary(make([]byte, WireSize)); ok {
-		t.Error("zero trace ID decoded ok")
+	// A zero trace ID is not a valid wire context, whatever the span
+	// word says: the decoder returns the zero Context with ok false.
+	wire := make([]byte, WireSize)
+	wire[16], wire[23] = 0x80, 42
+	if c, ok := DecodeBinary(wire); ok || c != (Context{}) {
+		t.Errorf("zero trace ID decoded as %+v, %v; want the zero Context, false", c, ok)
 	}
 }
 
@@ -57,10 +60,6 @@ func TestContextTextRoundTrip(t *testing.T) {
 	got, ok := DecodeText(s)
 	if !ok || got != c {
 		t.Fatalf("DecodeText = %+v, %v; want %+v, true", got, ok, c)
-	}
-	got, ok = DecodeTextBytes([]byte(s))
-	if !ok || got != c {
-		t.Fatalf("DecodeTextBytes = %+v, %v; want %+v, true", got, ok, c)
 	}
 	// Uppercase hex decodes too.
 	if _, ok := DecodeText(strings.ToUpper(s)); !ok {

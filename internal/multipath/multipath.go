@@ -51,6 +51,47 @@ const (
 // frame header: type(1) + seq(8) + length(4).
 const headerSize = 13
 
+// header is one frame header. seq carries a data or FIN frame's sequence
+// number, an ACK's count, or a JOIN's channel ID; length carries a data
+// frame's payload size or a JOIN's subflow index.
+type header struct {
+	typ    byte
+	seq    uint64
+	length uint32
+}
+
+// put encodes h into b, which must hold at least headerSize bytes.
+func (h header) put(b []byte) {
+	b[0] = h.typ
+	binary.BigEndian.PutUint64(b[1:9], h.seq)
+	binary.BigEndian.PutUint32(b[9:headerSize], h.length)
+}
+
+// parseHeader decodes a frame header. It rejects a short buffer, an
+// unknown type, and a data frame longer than maxSeg: the wire length is
+// attacker-controlled, so it is checked here, before a reader fetches a
+// buffer for the payload — a 13-byte frame claiming 4 GiB costs nothing.
+func parseHeader(b []byte, maxSeg int) (header, error) {
+	if len(b) < headerSize {
+		return header{}, fmt.Errorf("multipath: frame header of %d bytes", len(b))
+	}
+	h := header{
+		typ:    b[0],
+		seq:    binary.BigEndian.Uint64(b[1:9]),
+		length: binary.BigEndian.Uint32(b[9:headerSize]),
+	}
+	switch h.typ {
+	case frameData:
+		if int64(h.length) > int64(maxSeg) {
+			return header{}, fmt.Errorf("multipath: data frame of %d bytes exceeds MaxSegBytes %d", h.length, maxSeg)
+		}
+	case frameAck, frameFin, frameSubAck, frameJoin:
+	default:
+		return header{}, fmt.Errorf("multipath: unknown frame type %d", h.typ)
+	}
+	return h, nil
+}
+
 // SubflowDialer re-establishes the transport connection for a dead
 // subflow. It is called from the sender's reconnect loop and should bound
 // its own dial time.
@@ -354,8 +395,7 @@ func (s *Sender) Close() error {
 
 	// Send FIN on every alive subflow (receivers tolerate duplicates).
 	fin := make([]byte, headerSize)
-	fin[0] = frameFin
-	binary.BigEndian.PutUint64(fin[1:9], finSeq)
+	header{typ: frameFin, seq: finSeq}.put(fin)
 	for i, c := range conns {
 		if aliveSnapshot[i] {
 			s.wmu[i].Lock()
@@ -441,9 +481,7 @@ func (s *Sender) writeLoop(i int, epoch uint64, conn net.Conn) {
 		segLen := len(seg.data)
 		s.mu.Unlock()
 
-		hdr[0] = frameData
-		binary.BigEndian.PutUint64(hdr[1:9], seg.seq)
-		binary.BigEndian.PutUint32(hdr[9:13], uint32(segLen))
+		header{typ: frameData, seq: seg.seq, length: uint32(segLen)}.put(hdr)
 		s.wmu[i].Lock()
 		_, err := conn.Write(hdr)
 		if err == nil {
@@ -487,13 +525,14 @@ func (s *Sender) ackLoop(i int, epoch uint64, conn net.Conn) {
 			s.subflowDied(i, epoch)
 			return
 		}
-		if hdr[0] != frameAck && hdr[0] != frameSubAck {
+		h, err := parseHeader(hdr, s.cfg.MaxSegBytes)
+		if err != nil || (h.typ != frameAck && h.typ != frameSubAck) {
 			s.subflowDied(i, epoch)
 			return
 		}
-		value := binary.BigEndian.Uint64(hdr[1:9])
+		value := h.seq
 		s.mu.Lock()
-		switch hdr[0] {
+		switch h.typ {
 		case frameAck:
 			if value > s.cumAcked {
 				for seq := s.cumAcked; seq < value; seq++ {
@@ -630,19 +669,16 @@ func (s *Sender) reconnectDone(ok bool) {
 // channel ID + subflow index out, the same frame echoed back on accept.
 func (s *Sender) joinHandshake(conn net.Conn, i int) error {
 	hdr := make([]byte, headerSize)
-	hdr[0] = frameJoin
-	binary.BigEndian.PutUint64(hdr[1:9], s.cfg.ChannelID)
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(i))
+	header{typ: frameJoin, seq: s.cfg.ChannelID, length: uint32(i)}.put(hdr)
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.JoinTimeout))
 	if _, err := conn.Write(hdr); err != nil {
 		return fmt.Errorf("multipath: send join: %w", err)
 	}
-	resp := make([]byte, headerSize)
-	if _, err := io.ReadFull(conn, resp); err != nil {
+	if _, err := io.ReadFull(conn, hdr); err != nil {
 		return fmt.Errorf("multipath: read join ack: %w", err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	if resp[0] != frameJoin || binary.BigEndian.Uint64(resp[1:9]) != s.cfg.ChannelID {
+	if h, err := parseHeader(hdr, s.cfg.MaxSegBytes); err != nil || h.typ != frameJoin || h.seq != s.cfg.ChannelID {
 		return ErrJoinRejected
 	}
 	return nil

@@ -1,7 +1,6 @@
 package multipath
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -192,12 +191,15 @@ func (r *Receiver) Join(conn net.Conn) error {
 		_ = conn.Close()
 		return fmt.Errorf("multipath: read join: %w", err)
 	}
-	if hdr[0] != frameJoin {
-		_ = conn.Close()
-		return fmt.Errorf("multipath: expected JOIN, got frame type %d", hdr[0])
+	h, err := parseHeader(hdr, r.cfg.MaxSegBytes)
+	if err == nil && h.typ != frameJoin {
+		err = fmt.Errorf("multipath: expected JOIN, got frame type %d", h.typ)
 	}
-	channel := binary.BigEndian.Uint64(hdr[1:9])
-	idx := int(binary.BigEndian.Uint32(hdr[9:13]))
+	if err != nil {
+		_ = conn.Close()
+		return err
+	}
+	channel, idx := h.seq, int(h.length)
 	r.mu.Lock()
 	ok := !r.closed && channel == r.cfg.ChannelID && idx >= 0 && idx < len(r.conns)
 	r.mu.Unlock()
@@ -252,38 +254,31 @@ func (r *Receiver) readLoop(conn net.Conn, i int, epoch uint64) {
 			r.subflowDied(i, epoch)
 			return
 		}
-		switch hdr[0] {
+		// parseHeader refuses a data frame over MaxSegBytes, so the
+		// payload buffer below is never fetched for an oversized claim.
+		h, err := parseHeader(hdr, r.cfg.MaxSegBytes)
+		if err != nil || (h.typ != frameData && h.typ != frameFin) {
+			_ = conn.Close()
+			r.subflowDied(i, epoch)
+			return
+		}
+		switch h.typ {
 		case frameData:
-			seq := binary.BigEndian.Uint64(hdr[1:9])
-			length := binary.BigEndian.Uint32(hdr[9:13])
-			// The 32-bit wire length is attacker-controlled; it must be
-			// validated BEFORE any buffer is fetched, or a 13-byte frame
-			// claiming 4 GiB would cost a 4 GiB allocation.
-			if int64(length) > int64(r.cfg.MaxSegBytes) {
-				_ = conn.Close()
-				r.subflowDied(i, epoch)
-				return
-			}
-			data := pipe.Get(int(length))
+			data := pipe.Get(int(h.length))
 			if _, err := io.ReadFull(conn, data); err != nil {
 				pipe.Put(data)
 				r.subflowDied(i, epoch)
 				return
 			}
-			r.ingest(i, epoch, seq, data)
+			r.ingest(i, epoch, h.seq, data)
 		case frameFin:
-			seq := binary.BigEndian.Uint64(hdr[1:9])
 			r.mu.Lock()
 			r.finSeen = true
-			r.finSeq = seq
+			r.finSeq = h.seq
 			r.cond.Broadcast()
 			r.mu.Unlock()
 			// Final ACK so the sender's Close completes promptly.
 			r.sendAck(i)
-		default:
-			_ = conn.Close()
-			r.subflowDied(i, epoch)
-			return
 		}
 	}
 }
@@ -394,9 +389,7 @@ func (r *Receiver) writeAck(i int, conn net.Conn, frameType byte, value uint64) 
 	r.wmu[i].Lock()
 	defer r.wmu[i].Unlock()
 	ack := r.ackBuf[i]
-	ack[0] = frameType
-	binary.BigEndian.PutUint64(ack[1:9], value)
-	binary.BigEndian.PutUint32(ack[9:13], 0)
+	header{typ: frameType, seq: value}.put(ack)
 	_, err := conn.Write(ack)
 	return err
 }

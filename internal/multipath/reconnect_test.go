@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cronets/internal/obs"
+	"cronets/internal/servertest"
 )
 
 // joinableReceiver starts a receiver whose listener routes the first n
@@ -359,4 +360,68 @@ func TestCleanCloseNoSpuriousFailover(t *testing.T) {
 			t.Errorf("spurious subflow-down event after clean close: %s", e.Detail)
 		}
 	}
+}
+
+// TestCloseWithRejoinInFlight: closing both ends while a subflow's rejoin
+// is in flight (the sender's JOIN sent and unanswered, the receiver's Join
+// not yet run) gives back every goroutine and socket.
+func TestCloseWithRejoinInFlight(t *testing.T) {
+	check := servertest.CheckLeaks(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	redialed := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			redialed <- c
+		}
+	}()
+	sConns, rConns := tcpPairs(t, 2)
+	cfg := Config{
+		ChannelID:        7,
+		ReconnectBackoff: time.Millisecond,
+		Dialer: func(int) (net.Conn, error) {
+			return net.DialTimeout("tcp", ln.Addr().String(), time.Second)
+		},
+	}
+	s, err := NewSender(sConns, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReceiver(rConns, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Write(bytes.Repeat([]byte("x"), 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	_ = rConns[1].Close() // subflow 1 dies on both ends; the sender redials
+	var joining net.Conn
+	select {
+	case joining = <-redialed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sender never redialed")
+	}
+	_ = ln.Close()
+
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = s.Close()
+		close(closed)
+	}()
+	// The late Join finds the receiver closed and hangs up, which fails
+	// the sender's handshake and lets its reconnect loop exit.
+	if err := r.Join(joining); err == nil {
+		t.Error("Join succeeded on a closed receiver")
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Sender.Close did not return")
+	}
+	check()
 }

@@ -20,6 +20,7 @@ import (
 	"cronets/internal/flowtrace"
 	"cronets/internal/obs"
 	"cronets/internal/pipe"
+	"cronets/internal/relay"
 )
 
 // Impairment describes one direction's shaping.
@@ -52,10 +53,11 @@ type Config struct {
 	// instrumentation).
 	Obs *obs.Registry
 	// Tracer records a netem.shape span per connection whose first
-	// upstream bytes carry a relay CONNECT preamble with a sampled trace
-	// context — the shaper is a transparent middlebox, so it sniffs the
-	// passing handshake instead of being handed a context. Nil disables
-	// tracing; untraced connections cost one prefix check.
+	// upstream chunk opens with a CONNECT line the relay would accept
+	// with a sampled trace context — the shaper is a transparent
+	// middlebox, so it reads the passing handshake with the relay's
+	// parser instead of being handed a context. Nil disables tracing at
+	// zero cost.
 	Tracer *flowtrace.Tracer
 }
 
@@ -214,65 +216,45 @@ func (p *Proxy) handle(idx int64, down net.Conn) {
 	// its own copy loop. Each direction keeps its own shaper state.
 	upShape := &shaper{p: p, isUp: true, shaped: p.shapedUp, rules: upRules}
 	downShape := &shaper{p: p, isUp: false, shaped: p.shapedDown, rules: downRules}
-	var sniff traceSniff
+	var span *flowtrace.Span
+	joined := false
 	res, _ := pipe.Bidirectional(context.Background(), down, up, pipe.Options{
 		BufferBytes: p.cfg.ChunkBytes,
 		Hook: func(dir pipe.Dir, chunk []byte, write pipe.WriteFunc) error {
 			if dir == pipe.AToB {
-				sniff.onUpChunk(p.cfg.Tracer, chunk)
+				if !joined {
+					joined = true
+					span = p.joinTrace(chunk)
+				}
 				return upShape.shape(chunk, write)
 			}
-			sniff.span.MarkFirstByte()
+			span.MarkFirstByte()
 			return downShape.shape(chunk, write)
 		},
 	})
-	sniff.span.AddBytes(res.AToB + res.BToA)
-	sniff.span.End()
+	span.AddBytes(res.AToB + res.BToA)
+	span.End()
 }
 
-// traceSniff extracts a trace context from the first upstream chunk of a
-// shaped connection, if it opens with a relay CONNECT preamble carrying
-// one. The shaper is a transparent middlebox: it joins traces it can see
-// on the wire and stays silent otherwise.
-type traceSniff struct {
-	tried bool
-	span  *flowtrace.Span
-}
-
-// connectPrefix is the relay handshake verb a sniffable preamble opens
-// with; traceToken introduces the trace context on that line.
-var (
-	connectPrefix = []byte("CONNECT ")
-	traceToken    = []byte(" TP=")
-)
-
-// onUpChunk inspects the first client->target chunk only; every later
-// chunk costs a single boolean check. It allocates nothing unless a
-// sampled context is found.
-func (s *traceSniff) onUpChunk(tracer *flowtrace.Tracer, chunk []byte) {
-	if s.tried {
-		return
+// joinTrace opens a netem.shape span when first, a connection's first
+// upstream chunk, opens with a CONNECT line the relay would accept with a
+// sampled trace context. The shaper is a transparent middlebox: it reads
+// that line with the relay's own parser and stays silent otherwise.
+func (p *Proxy) joinTrace(first []byte) *flowtrace.Span {
+	if p.cfg.Tracer == nil {
+		return nil
 	}
-	s.tried = true
-	if tracer == nil || !bytes.HasPrefix(chunk, connectPrefix) {
-		return
-	}
-	nl := bytes.IndexByte(chunk, '\n')
+	nl := bytes.IndexByte(first, '\n')
 	if nl < 0 {
-		return
+		return nil
 	}
-	line := chunk[:nl]
-	i := bytes.Index(line, traceToken)
-	if i < 0 {
-		return
+	target, tc, err := relay.ParseConnectTrace(string(first[:nl+1]))
+	if err != nil {
+		return nil
 	}
-	tok := bytes.TrimSpace(line[i+len(traceToken):])
-	tc, ok := flowtrace.DecodeTextBytes(tok)
-	if !ok {
-		return
-	}
-	s.span = tracer.Continue("netem.shape", tc)
-	s.span.SetDetail(string(line[len(connectPrefix):i]))
+	span := p.cfg.Tracer.Continue("netem.shape", tc)
+	span.SetDetail(target)
+	return span
 }
 
 // errBlackholed aborts a parked direction once the proxy shuts down.

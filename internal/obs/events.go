@@ -2,154 +2,93 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"log/slog"
 	"sync"
 	"time"
 )
 
-// EventType classifies flow events across the overlay stack.
-type EventType uint8
+// EventType classifies flow events across the overlay stack. Its value
+// is the type's wire name, as /debug/events serves it.
+type EventType string
 
 // Flow-event types.
 const (
 	// EventConnect is a CONNECT handshake accepted by a split proxy.
-	EventConnect EventType = iota + 1
+	EventConnect EventType = "connect"
 	// EventDial is an upstream dial attempt (detail carries the outcome).
-	EventDial
+	EventDial EventType = "dial"
 	// EventSubflowUp is a multipath subflow entering service.
-	EventSubflowUp
+	EventSubflowUp EventType = "subflow-up"
 	// EventSubflowDown is a multipath subflow death / failover.
-	EventSubflowDown
+	EventSubflowDown EventType = "subflow-down"
 	// EventRetransmit is a batch of segments requeued onto surviving
 	// subflows.
-	EventRetransmit
+	EventRetransmit EventType = "retransmit"
 	// EventACLReject is a CONNECT target refused by the relay ACL.
-	EventACLReject
+	EventACLReject EventType = "acl-reject"
 	// EventIdleClose is a connection reaped by the idle timeout.
-	EventIdleClose
+	EventIdleClose EventType = "idle-close"
 	// EventFaultInjected is a netem fault firing (kill, blackhole, or
 	// refused connect).
-	EventFaultInjected
+	EventFaultInjected EventType = "fault-injected"
 	// EventSubflowRejoin is a reconnected subflow rejoining its multipath
 	// channel via the JOIN handshake.
-	EventSubflowRejoin
+	EventSubflowRejoin EventType = "subflow-rejoin"
 	// EventDialRetry is a transient upstream dial failure being retried
 	// with backoff.
-	EventDialRetry
+	EventDialRetry EventType = "dial-retry"
 	// EventProbe is a pathmon probe outcome (detail carries path + result).
-	EventProbe
+	EventProbe EventType = "probe"
 	// EventRankChange is the pathmon ranked table's leader changing
 	// (before hysteresis commits a switch).
-	EventRankChange
+	EventRankChange EventType = "rank-change"
 	// EventPathSwitch is pathmon committing traffic to a new best path.
-	EventPathSwitch
+	EventPathSwitch EventType = "path-switch"
 	// EventFallback is a gateway dial falling back to the next-ranked path
 	// after the preferred one failed.
-	EventFallback
+	EventFallback EventType = "fallback"
 	// EventImpairmentChange is a netem proxy's shaping being swapped at
 	// runtime (SetImpairment).
-	EventImpairmentChange
+	EventImpairmentChange EventType = "impairment-change"
 	// EventFlowTrace is a sampled flow's trace completing (root span
 	// ended); detail carries the trace ID, duration, and byte count.
-	EventFlowTrace
+	EventFlowTrace EventType = "flow-trace"
 	// EventPoolWarm is a connection pool warming a relay leg (detail
 	// carries the relay and outcome).
-	EventPoolWarm
+	EventPoolWarm EventType = "pool-warm"
 	// EventPoolDrain is a connection pool retiring idle legs (TTL
 	// expiry, failed liveness check, or a demoted relay draining).
-	EventPoolDrain
+	EventPoolDrain EventType = "pool-drain"
 	// EventChainCandidates is pathmon's two-hop chain candidate set
 	// changing (detail carries counts: enumerated, from, pruned).
-	EventChainCandidates
+	EventChainCandidates EventType = "chain-candidates"
 	// EventChainDial is a gateway dial riding a multi-hop chain (detail
 	// carries the hop list).
-	EventChainDial
+	EventChainDial EventType = "chain-dial"
 	// EventBurst is a pathmon throughput-burst outcome (detail carries
 	// the route and the Mbps result or failure cause).
-	EventBurst
+	EventBurst EventType = "burst"
 )
 
-// String returns the event type's wire name.
-func (t EventType) String() string {
-	switch t {
-	case EventConnect:
-		return "connect"
-	case EventDial:
-		return "dial"
-	case EventSubflowUp:
-		return "subflow-up"
-	case EventSubflowDown:
-		return "subflow-down"
-	case EventRetransmit:
-		return "retransmit"
-	case EventACLReject:
-		return "acl-reject"
-	case EventIdleClose:
-		return "idle-close"
-	case EventFaultInjected:
-		return "fault-injected"
-	case EventSubflowRejoin:
-		return "subflow-rejoin"
-	case EventDialRetry:
-		return "dial-retry"
-	case EventProbe:
-		return "probe"
-	case EventRankChange:
-		return "rank-change"
-	case EventPathSwitch:
-		return "path-switch"
-	case EventFallback:
-		return "fallback"
-	case EventImpairmentChange:
-		return "impairment-change"
-	case EventFlowTrace:
-		return "flow-trace"
-	case EventPoolWarm:
-		return "pool-warm"
-	case EventPoolDrain:
-		return "pool-drain"
-	case EventChainCandidates:
-		return "chain-candidates"
-	case EventChainDial:
-		return "chain-dial"
-	case EventBurst:
-		return "burst"
-	default:
-		return "unknown"
-	}
+// eventTypes lists every EventType.
+var eventTypes = []EventType{
+	EventConnect, EventDial, EventSubflowUp, EventSubflowDown,
+	EventRetransmit, EventACLReject, EventIdleClose, EventFaultInjected,
+	EventSubflowRejoin, EventDialRetry, EventProbe, EventRankChange,
+	EventPathSwitch, EventFallback, EventImpairmentChange, EventFlowTrace,
+	EventPoolWarm, EventPoolDrain, EventChainCandidates, EventChainDial,
+	EventBurst,
 }
 
-// ParseEventType resolves a wire name back to its EventType (for the
+// ParseEventType resolves a wire name to its EventType (for the
 // /debug/events ?type= filter). ok is false for unknown names.
 func ParseEventType(name string) (EventType, bool) {
-	for t := EventConnect; t <= EventBurst; t++ {
-		if t.String() == name {
+	for _, t := range eventTypes {
+		if string(t) == name {
 			return t, true
 		}
 	}
-	return 0, false
-}
-
-// MarshalJSON encodes the type as its string name.
-func (t EventType) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + t.String() + `"`), nil
-}
-
-// UnmarshalJSON decodes a wire name back to its EventType, so clients of
-// /debug/events can round-trip the JSON.
-func (t *EventType) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	parsed, ok := ParseEventType(name)
-	if !ok {
-		return fmt.Errorf("obs: unknown event type %q", name)
-	}
-	*t = parsed
-	return nil
+	return "", false
 }
 
 // Event is one entry in the flow-event ring.
@@ -253,7 +192,7 @@ func (s *Scope) Event(t EventType, detail string) {
 		return
 	}
 	s.ring.Record(s.component, t, detail)
-	s.log.Debug("flow event", "type", t.String(), "detail", detail)
+	s.log.Debug("flow event", "type", string(t), "detail", detail)
 }
 
 // Logger returns the scope's component-tagged logger. On a nil scope it

@@ -224,7 +224,7 @@ func (r *Registry) EventsHandler() http.Handler {
 		events := r.Events().Snapshot()
 		filtered := make([]Event, 0, len(events))
 		for _, e := range events {
-			if wantType != 0 && e.Type != wantType {
+			if wantType != "" && e.Type != wantType {
 				continue
 			}
 			if !since.IsZero() && !e.Time.After(since) {

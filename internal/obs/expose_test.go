@@ -81,10 +81,16 @@ func TestEventsHandlerSinceFilter(t *testing.T) {
 }
 
 func TestParseEventTypeCoversAll(t *testing.T) {
-	for et := EventConnect; et <= EventFlowTrace; et++ {
-		got, ok := ParseEventType(et.String())
+	if len(eventTypes) != len(wireNames) {
+		t.Errorf("eventTypes lists %d types, want %d", len(eventTypes), len(wireNames))
+	}
+	for i, et := range eventTypes {
+		got, ok := ParseEventType(string(et))
 		if !ok || got != et {
-			t.Errorf("ParseEventType(%q) = %v, %v; want %v", et.String(), got, ok, et)
+			t.Errorf("ParseEventType(%q) = %v, %v; want %v", et, got, ok, et)
+		}
+		if i < len(wireNames) && et != wireNames[i].t {
+			t.Errorf("eventTypes[%d] = %q, want %q", i, et, wireNames[i].t)
 		}
 	}
 	if _, ok := ParseEventType("unknown"); ok {

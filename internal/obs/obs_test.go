@@ -3,8 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -150,7 +152,7 @@ func TestEventRingWrapsAndSnapshots(t *testing.T) {
 	if events[0].Detail != "c" || events[2].Detail != "e" {
 		t.Errorf("ring order wrong: %v", events)
 	}
-	if events[0].Type.String() != "dial" {
+	if events[0].Type != "dial" {
 		t.Errorf("type = %q, want dial", events[0].Type)
 	}
 }
@@ -201,13 +203,18 @@ func TestHTTPHandlers(t *testing.T) {
 	}
 }
 
+// publishRuns numbers TestPublishExpvar runs: expvar's table is
+// process-wide, so each run (go test -count=N) publishes its own name.
+var publishRuns atomic.Int64
+
 func TestPublishExpvar(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ev_total", "").Add(1)
-	if !r.PublishExpvar("obs_test_registry") {
+	name := "obs_test_registry_" + strconv.FormatInt(publishRuns.Add(1), 10)
+	if !r.PublishExpvar(name) {
 		t.Fatal("first publish should succeed")
 	}
-	if r.PublishExpvar("obs_test_registry") {
+	if r.PublishExpvar(name) {
 		t.Error("second publish should be a no-op")
 	}
 }

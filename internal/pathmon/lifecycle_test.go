@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/measure"
 	"cronets/internal/obs"
+	"cronets/internal/relay"
+	"cronets/internal/servertest"
 )
 
 // blackholeDialer parks every dial until its context is cancelled — a
@@ -165,4 +168,77 @@ func TestBurstAccounting(t *testing.T) {
 	if !sawFail {
 		t.Error("no burst event recorded")
 	}
+}
+
+// TestCloseWithBurstsAndChainsInFlight: Close over real relays, while
+// one-minute throughput bursts and chain probes are in flight, gives back
+// every goroutine and socket.
+func TestCloseWithBurstsAndChainsInFlight(t *testing.T) {
+	check := servertest.CheckLeaks(t)
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+	destLn := listen()
+	dest := measure.NewServer(destLn)
+	go func() { _ = dest.Serve() }()
+	var relays []*relay.Relay
+	var fleet []string
+	for i := 0; i < 2; i++ {
+		ln := listen()
+		r := relay.New(ln, relay.Config{})
+		go func() { _ = r.Serve() }()
+		relays = append(relays, r)
+		fleet = append(fleet, ln.Addr().String())
+	}
+	m, err := New(Config{
+		Dest:              destLn.Addr().String(),
+		Fleet:             fleet,
+		Interval:          time.Hour,
+		MaxHops:           2,
+		ChainPruneFactor:  -1,
+		BurstDuration:     time.Minute,
+		MaxBurstsPerRound: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seed the single-hop table so the first live round probes chains.
+	round(m, time.Now(), map[Route]time.Duration{
+		Direct: time.Millisecond, MakeRoute(fleet[0]): time.Millisecond, MakeRoute(fleet[1]): time.Millisecond,
+	})
+	if n := len(chainSet(m)); n != 2 {
+		t.Fatalf("%d chain candidates, want 2", n)
+	}
+	m.Start()
+
+	// A single-hop route holds at most one relayed connection per relay
+	// at a time, so four at once means a chain connection is open; a
+	// megabyte through the relays means bursts are uploading.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var active, up int64
+		for _, r := range relays {
+			active += r.Stats().Active.Load()
+			up += r.Stats().BytesUp.Load()
+		}
+		if active >= 4 && up >= 1<<20 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw bursts and chains in flight: %d relayed conns, %d bytes up", active, up)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range relays {
+		_ = r.Close()
+	}
+	_ = dest.Close()
+	check()
 }

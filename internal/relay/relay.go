@@ -17,6 +17,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -500,9 +501,12 @@ func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flow
 	return err
 }
 
-// tracePrefix introduces the optional trace-context token on a CONNECT
-// line: "CONNECT host:port TP=<48 hex chars>".
-const tracePrefix = "TP="
+// connectVerb opens a CONNECT line; tracePrefix introduces its optional
+// trace-context token: "CONNECT host:port TP=<48 hex chars>".
+const (
+	connectVerb = "CONNECT "
+	tracePrefix = "TP="
+)
 
 // The handshake readers hold only the longest line each side accepts,
 // rather than bufio's 4 KiB default, for every pre-CONNECT socket a
@@ -517,17 +521,38 @@ const (
 	connectReplyBytes = 64
 )
 
+// appendConnectLine appends the CONNECT request line for target to dst.
+// A sampled trace context rides in a TP= token; an unsampled or zero one
+// is left off.
+func appendConnectLine(dst []byte, target string, tc flowtrace.Context) []byte {
+	dst = append(dst, connectVerb...)
+	dst = append(dst, target...)
+	if tc.Sampled && !tc.IsZero() {
+		dst = append(dst, ' ')
+		dst = append(dst, tracePrefix...)
+		dst = append(dst, tc.EncodeText()...)
+	}
+	return append(dst, '\n')
+}
+
+// linePool recycles Connect's request-line buffers: Connect runs once per
+// relay dial and per chain hop.
+var linePool = sync.Pool{New: func() any { return new([connectLineBytes]byte) }}
+
 // ParseConnectTrace parses a "CONNECT host:port [TP=<ctx>]" request
 // line, returning the target and the propagated trace context (zero when
 // absent or malformed — a bad trace token never fails the handshake,
-// tracing is best-effort).
+// tracing is best-effort). A line longer than the relay's CONNECT reader
+// holds (newline included) is refused, as the relay refuses it.
 func ParseConnectTrace(line string) (string, flowtrace.Context, error) {
+	if len(line) > connectLineBytes {
+		return "", flowtrace.Context{}, fmt.Errorf("relay: request line over %d bytes", connectLineBytes)
+	}
 	line = strings.TrimSpace(line)
-	const prefix = "CONNECT "
-	if !strings.HasPrefix(line, prefix) {
+	if !strings.HasPrefix(line, connectVerb) {
 		return "", flowtrace.Context{}, fmt.Errorf("relay: malformed request %q", line)
 	}
-	rest := strings.TrimSpace(strings.TrimPrefix(line, prefix))
+	rest := strings.TrimSpace(strings.TrimPrefix(line, connectVerb))
 	target := rest
 	var tc flowtrace.Context
 	if i := strings.IndexByte(rest, ' '); i >= 0 {
@@ -568,12 +593,9 @@ func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error
 	}
 	stopWatch := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })
 	defer stopWatch()
-	var err error
-	if tc := flowtrace.FromGoContext(ctx); tc.Sampled {
-		_, err = fmt.Fprintf(conn, "CONNECT %s %s%s\n", target, tracePrefix, tc.EncodeText())
-	} else {
-		_, err = fmt.Fprintf(conn, "CONNECT %s\n", target)
-	}
+	buf := linePool.Get().(*[connectLineBytes]byte)
+	_, err := conn.Write(appendConnectLine(buf[:0], target, flowtrace.FromGoContext(ctx)))
+	linePool.Put(buf)
 	if err != nil {
 		_ = conn.Close()
 		return nil, connectAbortErr(ctx, fmt.Errorf("relay: send connect: %w", err))

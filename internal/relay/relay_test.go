@@ -223,6 +223,8 @@ func TestParseConnectTrace(t *testing.T) {
 		{"CONNECT nohost\n", "", flowtrace.Context{}, true},
 		{"CONNECT :80\n", "", flowtrace.Context{}, true},
 		{"CONNECT nohost TP=" + sampled.EncodeText() + "\n", "", flowtrace.Context{}, true},
+		// Longer than the relay's CONNECT reader holds.
+		{"CONNECT " + strings.Repeat("a", connectLineBytes) + ":80\n", "", flowtrace.Context{}, true},
 		{"FETCH 10.0.0.1:80\n", "", flowtrace.Context{}, true},
 		{"", "", flowtrace.Context{}, true},
 	}

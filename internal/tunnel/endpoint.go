@@ -31,16 +31,12 @@ func NewEndpoint(rw io.ReadWriter) *Endpoint {
 	return e
 }
 
-// Send encapsulates and writes one packet. The marshal buffer comes from
-// the data-plane pool, so a steady packet stream allocates nothing.
-func (e *Endpoint) Send(p Packet) error {
-	return e.SendCtx(p, flowtrace.Context{})
-}
-
-// SendCtx encapsulates and writes one packet whose frame header carries
-// a trace context, so the far endpoint can parent its spans under the
-// sending flow. An unsampled context sends a plain frame.
-func (e *Endpoint) SendCtx(p Packet, tc flowtrace.Context) error {
+// Send encapsulates and writes one packet. A sampled context rides in
+// the frame header, so the far endpoint can parent its spans under the
+// sending flow; an unsampled or zero context sends a plain frame. The
+// marshal buffer comes from the data-plane pool, so a steady packet
+// stream allocates nothing.
+func (e *Endpoint) Send(p Packet, tc flowtrace.Context) error {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
@@ -56,21 +52,16 @@ func (e *Endpoint) SendCtx(p Packet, tc flowtrace.Context) error {
 		pipe.Put(buf)
 		return err
 	}
-	err = e.f.WriteFrameCtx(buf[:n], tc)
+	err = e.f.WriteFrame(buf[:n], tc)
 	pipe.Put(buf)
 	return err
 }
 
-// Recv reads and decapsulates one packet, blocking until one arrives.
-func (e *Endpoint) Recv() (Packet, error) {
-	p, _, err := e.RecvCtx()
-	return p, err
-}
-
-// RecvCtx reads one packet plus the trace context carried in its frame
-// header (the zero Context for untraced frames).
-func (e *Endpoint) RecvCtx() (Packet, flowtrace.Context, error) {
-	buf, tc, err := e.f.ReadFrameCtx()
+// Recv reads and decapsulates one packet, blocking until one arrives,
+// plus the trace context carried in its frame header (the zero Context
+// for untraced frames).
+func (e *Endpoint) Recv() (Packet, flowtrace.Context, error) {
+	buf, tc, err := e.f.ReadFrame()
 	if err != nil {
 		return Packet{}, flowtrace.Context{}, err
 	}
@@ -171,7 +162,7 @@ func (o *OverlayNode) Start() error {
 func (o *OverlayNode) pumpOutbound() {
 	defer o.done.Done()
 	for {
-		p, err := o.tunnel.Recv()
+		p, _, err := o.tunnel.Recv()
 		if err != nil {
 			o.recordErr(err)
 			return
@@ -204,7 +195,7 @@ func (o *OverlayNode) pumpInbound() {
 		if !ok {
 			continue
 		}
-		if err := o.tunnel.Send(in); err != nil {
+		if err := o.tunnel.Send(in, flowtrace.Context{}); err != nil {
 			o.recordErr(err)
 			return
 		}

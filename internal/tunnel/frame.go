@@ -50,17 +50,12 @@ func NewFramer(rw io.ReadWriter) *Framer {
 	return &Framer{rw: rw}
 }
 
-// WriteFrame writes one length-prefixed frame. Header and body go out in
-// a single pooled write so a frame costs one syscall on a net.Conn and
-// cannot interleave with another writer's header/body pair.
-func (f *Framer) WriteFrame(p []byte) error {
-	return f.WriteFrameCtx(p, flowtrace.Context{})
-}
-
-// WriteFrameCtx writes one frame carrying a trace context in its header,
-// so the far tunnel endpoint can continue the flow's trace. An unsampled
-// (or zero) context writes a plain frame.
-func (f *Framer) WriteFrameCtx(p []byte, tc flowtrace.Context) error {
+// WriteFrame writes one length-prefixed frame. A sampled context rides
+// in the frame header, so the far tunnel endpoint can continue the flow's
+// trace; an unsampled or zero context writes a plain frame. Header and
+// body go out in a single pooled write so a frame costs one syscall on a
+// net.Conn and cannot interleave with another writer's header/body pair.
+func (f *Framer) WriteFrame(p []byte, tc flowtrace.Context) error {
 	if len(p) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
@@ -87,16 +82,10 @@ func (f *Framer) WriteFrameCtx(p []byte, tc flowtrace.Context) error {
 	return nil
 }
 
-// ReadFrame reads one frame into a freshly allocated buffer, discarding
-// any trace context in its header.
-func (f *Framer) ReadFrame() ([]byte, error) {
-	buf, _, err := f.ReadFrameCtx()
-	return buf, err
-}
-
-// ReadFrameCtx reads one frame plus the trace context carried in its
-// header (the zero Context for untraced frames).
-func (f *Framer) ReadFrameCtx() ([]byte, flowtrace.Context, error) {
+// ReadFrame reads one frame into a freshly allocated buffer, plus the
+// trace context carried in its header (the zero Context for untraced
+// frames, and for a flagged header whose context has a zero trace ID).
+func (f *Framer) ReadFrame() ([]byte, flowtrace.Context, error) {
 	f.rmu.Lock()
 	defer f.rmu.Unlock()
 	if _, err := io.ReadFull(f.rw, f.rbuf[:]); err != nil {

@@ -40,18 +40,6 @@ type Packet struct {
 // 2 x (16-byte address + 2-byte port).
 const packetHeaderSize = 1 + 2*(16+2)
 
-// Marshal encodes the packet into a freshly allocated frame body.
-func (p Packet) Marshal() ([]byte, error) {
-	if len(p.Payload) > MaxFrameSize-packetHeaderSize {
-		return nil, ErrFrameTooLarge
-	}
-	buf := make([]byte, packetHeaderSize+len(p.Payload))
-	if _, err := p.MarshalInto(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // MarshalInto encodes the packet into dst (which must hold at least
 // packetHeaderSize + len(Payload) bytes) and returns the encoded length.
 // It lets callers reuse a pooled buffer instead of allocating per packet.

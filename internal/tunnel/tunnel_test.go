@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cronets/internal/flowtrace"
 	"cronets/internal/obs"
 )
 
@@ -17,12 +18,12 @@ func TestFramerRoundtrip(t *testing.T) {
 	f := NewFramer(&buf)
 	payloads := [][]byte{[]byte("hello"), {}, []byte("world"), bytes.Repeat([]byte{7}, 10000)}
 	for _, p := range payloads {
-		if err := f.WriteFrame(p); err != nil {
+		if err := f.WriteFrame(p, flowtrace.Context{}); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
 	for _, want := range payloads {
-		got, err := f.ReadFrame()
+		got, _, err := f.ReadFrame()
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -35,12 +36,12 @@ func TestFramerRoundtrip(t *testing.T) {
 func TestFramerRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	f := NewFramer(&buf)
-	if err := f.WriteFrame(make([]byte, MaxFrameSize+1)); err != ErrFrameTooLarge {
+	if err := f.WriteFrame(make([]byte, MaxFrameSize+1), flowtrace.Context{}); err != ErrFrameTooLarge {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 	// A corrupted length header must be rejected on read.
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := f.ReadFrame(); err != ErrFrameTooLarge {
+	if _, _, err := f.ReadFrame(); err != ErrFrameTooLarge {
 		t.Errorf("read err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -53,10 +54,10 @@ func TestFramerProperty(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		fr := NewFramer(&buf)
-		if err := fr.WriteFrame(payload); err != nil {
+		if err := fr.WriteFrame(payload, flowtrace.Context{}); err != nil {
 			return false
 		}
-		got, err := fr.ReadFrame()
+		got, _, err := fr.ReadFrame()
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -75,11 +76,12 @@ func TestPacketRoundtrip(t *testing.T) {
 		Dst:     addrPort("192.0.2.7:443"),
 		Payload: []byte("payload bytes"),
 	}
-	buf, err := p.Marshal()
+	buf := make([]byte, packetHeaderSize+len(p.Payload))
+	n, err := p.MarshalInto(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalPacket(buf)
+	got, err := UnmarshalPacket(buf[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +96,12 @@ func TestPacketRoundtripIPv6(t *testing.T) {
 		Src:   addrPort("[2001:db8::1]:1000"),
 		Dst:   addrPort("[2001:db8::2]:2000"),
 	}
-	buf, err := p.Marshal()
+	buf := make([]byte, packetHeaderSize+len(p.Payload))
+	n, err := p.MarshalInto(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalPacket(buf)
+	got, err := UnmarshalPacket(buf[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +128,12 @@ func TestPacketProperty(t *testing.T) {
 			Dst:     netip.AddrPortFrom(netip.AddrFrom4(b), pb),
 			Payload: payload,
 		}
-		buf, err := p.Marshal()
+		buf := make([]byte, packetHeaderSize+len(p.Payload))
+		n, err := p.MarshalInto(buf)
 		if err != nil {
 			return false
 		}
-		got, err := UnmarshalPacket(buf)
+		got, err := UnmarshalPacket(buf[:n])
 		return err == nil && got.Src == p.Src && got.Dst == p.Dst &&
 			bytes.Equal(got.Payload, p.Payload)
 	}
@@ -351,12 +355,12 @@ func TestOverlayNodeEndToEnd(t *testing.T) {
 		Dst:     netip.AddrPortFrom(serverAddr, 80),
 		Payload: []byte("ping"),
 	}
-	if err := user.Send(req); err != nil {
+	if err := user.Send(req, flowtrace.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan Packet, 1)
 	go func() {
-		p, err := user.Recv()
+		p, _, err := user.Recv()
 		if err == nil {
 			done <- p
 		}
@@ -451,10 +455,10 @@ func TestOverlayNodeInstrumented(t *testing.T) {
 		Src:     netip.AddrPortFrom(netip.MustParseAddr("10.0.0.1"), 5555),
 		Dst:     netip.AddrPortFrom(serverAddr, 80),
 		Payload: []byte("ping"),
-	}); err != nil {
+	}, flowtrace.Context{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := user.Recv(); err != nil {
+	if _, _, err := user.Recv(); err != nil {
 		t.Fatal(err)
 	}
 	// The encap counter ticks after the tunnel write completes; give the
