@@ -8,8 +8,10 @@
 #                     objective routing — plus the experiment suite)
 #   make race         race-detector pass over the full tree
 #   make vet          static checks
-#   make lint         go vet (root and benchmark modules) plus
-#                     staticcheck/golangci-lint when installed
+#   make lint         go vet (root and benchmark modules), a darwin and a
+#                     windows build (so the non-Linux splice stub keeps
+#                     compiling), plus staticcheck/golangci-lint when
+#                     installed
 #   make fmt          gofmt diff gate (fails if any file needs formatting)
 #   make check        all of the above
 #   make bench        data-plane benchmarks (pipe, relay, multipath, gateway
@@ -17,8 +19,10 @@
 #                     path (core.MeasurePair)
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
-#   make bench-smoke  chain gate: the chain failover e2e under -race plus
-#                     the established-chain zero-allocation check
+#   make bench-smoke  data-plane allocation gate: the chain failover e2e
+#                     under -race, the established-chain zero-allocation
+#                     check, and the check that a spliced bulk flow
+#                     allocates nothing per chunk
 #   make benchmark-smoke  the repository benchmark's short smoke tests (its
 #                     own module under benchmark/): flows_1hop's echo check
 #                     and sim_reallife's pinned seed-42 result digest
@@ -31,7 +35,8 @@
 #   make fuzz-smoke   a few seconds of native Go fuzzing on each wire
 #                     parser that reads bytes from the network (the relay's
 #                     CONNECT line, tunnel frames and packets, multipath
-#                     frame headers), starting from its testdata/fuzz corpus
+#                     frame headers) and on pathmon's route key
+#                     (MakeRoute), starting from its testdata/fuzz corpus
 
 GO ?= go
 
@@ -58,12 +63,15 @@ vet:
 	$(GO) vet ./...
 
 # Lint gate: go vet always runs, on the root module and on the benchmark
-# module (its own go.mod, so the root ./... never reaches it);
-# staticcheck and golangci-lint run when present on PATH (offline
+# module (its own go.mod, so the root ./... never reaches it); the tree
+# is built for darwin and windows too, where pipe's splice(2) loop is a
+# stub; staticcheck and golangci-lint run when present on PATH (offline
 # environments without them still pass).
 lint:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -94,10 +102,13 @@ trace-smoke:
 
 # Fails if chain dial allocates on the established-flow splice path: once
 # the hop-by-hop preamble completes, a chained flow must be the same
-# zero-alloc forwarding as a single hop.
+# zero-alloc forwarding as a single hop. Fails too if a bulk direction
+# that moved to splice(2) allocates per chunk. The alloc checks run
+# without -race (the race runtime adds allocations of its own).
 bench-smoke:
 	$(GO) test -race -run TestChainFailoverEndToEnd .
 	$(GO) test -run TestChainSpliceAllocs ./internal/chain/
+	$(GO) test -run TestSpliceAllocs ./internal/pipe/
 
 # The benchmark is a separate Go module, so the root ./... never reaches it.
 benchmark-smoke:
@@ -108,3 +119,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConnectTrace$$' -fuzztime 5s ./internal/relay
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/tunnel
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 5s ./internal/multipath
+	$(GO) test -run '^$$' -fuzz '^FuzzMakeRoute$$' -fuzztime 5s ./internal/pathmon

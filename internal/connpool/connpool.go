@@ -93,8 +93,11 @@ type Pool struct {
 	closed bool
 
 	fillc chan struct{} // coalesced filler kicks (checkout, miss)
-	stopc chan struct{}
-	wg    sync.WaitGroup
+	// ctx is the pool-lifetime context: the filler stops and every warm
+	// dial in flight is abandoned when Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // pooledConn is one warm socket plus the instant it was parked in the
@@ -142,8 +145,8 @@ func newPool(cfg Config) *Pool {
 		now:   time.Now,
 		idle:  make(map[string][]*pooledConn),
 		fillc: make(chan struct{}, 1),
-		stopc: make(chan struct{}),
 	}
+	p.ctx, p.cancel = context.WithCancel(context.Background())
 	p.instrument(cfg.Obs)
 	return p
 }
@@ -211,7 +214,8 @@ func (p *Pool) TotalIdle() int {
 	return n
 }
 
-// Close retires every pooled connection and stops the filler.
+// Close retires every pooled connection, abandons any warm dial in
+// flight and stops the filler.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -225,7 +229,7 @@ func (p *Pool) Close() error {
 	}
 	p.idle = make(map[string][]*pooledConn)
 	p.mu.Unlock()
-	close(p.stopc)
+	p.cancel()
 	for _, pc := range all {
 		_ = pc.conn.Close()
 	}
@@ -253,7 +257,7 @@ func (p *Pool) filler() {
 	p.Fill()
 	for {
 		select {
-		case <-p.stopc:
+		case <-p.ctx.Done():
 			return
 		case <-t.C:
 		case <-p.fillc:
@@ -330,9 +334,10 @@ func (p *Pool) Fill() {
 }
 
 // warmDial opens one raw TCP connection to a relay (no preamble — the
-// CONNECT handshake happens at checkout, on the flow's behalf).
+// CONNECT handshake happens at checkout, on the flow's behalf). Close
+// abandons it rather than waiting out DialTimeout.
 func (p *Pool) warmDial(addr string) (net.Conn, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(p.ctx, p.cfg.DialTimeout)
 	defer cancel()
 	return p.cfg.Dialer.DialContext(ctx, "tcp", addr)
 }

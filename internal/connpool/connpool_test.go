@@ -464,6 +464,36 @@ func TestCloseWithFillInFlight(t *testing.T) {
 	check()
 }
 
+// stallDialer signals each warm dial on dialing and holds it until its
+// context ends: a relay whose SYNs go unanswered.
+type stallDialer struct{ dialing chan struct{} }
+
+func (d *stallDialer) DialContext(ctx context.Context, _, _ string) (net.Conn, error) {
+	d.dialing <- struct{}{}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestCloseAbandonsWarmDial: Close with a warm dial in flight returns at
+// once, cancelling the dial instead of waiting out DialTimeout, and gives
+// back every goroutine.
+func TestCloseAbandonsWarmDial(t *testing.T) {
+	check := servertest.CheckLeaks(t)
+	d := &stallDialer{dialing: make(chan struct{}, 1)}
+	p := New(Config{Ranker: bestRanker("192.0.2.1:9000"), Dialer: d,
+		DialTimeout: 5 * time.Second, FillInterval: time.Hour})
+	<-d.dialing // the filler's first Fill is mid-dial
+
+	start := time.Now()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with a warm dial in flight, want < 1 s", took)
+	}
+	check()
+}
+
 // waitClosed polls until Close has marked the pool closed.
 func waitClosed(t *testing.T, p *Pool) {
 	t.Helper()

@@ -62,10 +62,11 @@ type Config struct {
 	// direction (default 5 min; negative disables). Without it a dead
 	// peer holds a gateway flow — and its relay slot — forever.
 	IdleTimeout time.Duration
-	// BufferBytes caps each direction's pooled copy buffer in listener
-	// mode, and so the largest chunk one read moves (default
-	// pipe.DefaultBufferBytes). A direction starts on the pool's 4 KiB
-	// class and grows to BufferBytes on its first read that fills it.
+	// BufferBytes caps the bytes each direction of a listener-mode flow
+	// holds (default pipe.DefaultBufferBytes). A direction starts on the
+	// pool's 4 KiB class; on its first read that fills it, a bulk
+	// direction moves to a kernel pipe of BufferBytes with splice(2) on
+	// Linux, or grows to a pooled BufferBytes buffer (see pipe.Options).
 	BufferBytes int
 	// MaxAttempts caps how many ranked paths one Dial tries before
 	// giving up (default 3). The direct path always stays inside the

@@ -16,6 +16,7 @@
 package multipath
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -245,8 +246,10 @@ type Sender struct {
 	// wmu serializes writes on each subflow slot so a FIN cannot
 	// interleave with a data frame's header/body pair.
 	wmu []sync.Mutex
-	// stopc cancels reconnect loops on Close.
-	stopc chan struct{}
+	// ctx ends when Close begins teardown: it stops reconnect loops and
+	// expires a JOIN handshake in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// rng drives reconnect backoff jitter, seeded from the channel ID so
 	// runs are reproducible.
@@ -293,7 +296,6 @@ func NewSender(conns []net.Conn, cfg Config) (*Sender, error) {
 		cfg:        cfg,
 		conns:      append([]net.Conn(nil), conns...),
 		wmu:        make([]sync.Mutex, len(conns)),
-		stopc:      make(chan struct{}),
 		rng:        rand.New(rand.NewSource(int64(cfg.ChannelID) + 1)),
 		epoch:      make([]uint64, len(conns)),
 		inflight:   make(map[uint64]*segment),
@@ -304,6 +306,7 @@ func NewSender(conns []net.Conn, cfg Config) (*Sender, error) {
 		aliveN:     len(conns),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	for i := range s.alive {
 		s.alive[i] = true
 	}
@@ -391,7 +394,7 @@ func (s *Sender) Close() error {
 	conns := append([]net.Conn(nil), s.conns...)
 	aliveSnapshot := append([]bool(nil), s.alive...)
 	s.mu.Unlock()
-	close(s.stopc)
+	s.cancel()
 
 	// Send FIN on every alive subflow (receivers tolerate duplicates).
 	fin := make([]byte, headerSize)
@@ -620,7 +623,7 @@ func (s *Sender) reconnectLoop(i int) {
 	backoff := s.cfg.ReconnectBackoff
 	for attempt := 1; attempt <= s.cfg.ReconnectAttempts; attempt++ {
 		select {
-		case <-s.stopc:
+		case <-s.ctx.Done():
 			s.reconnectDone(false)
 			return
 		case <-time.After(backoff + s.backoffJitter(backoff)):
@@ -667,10 +670,14 @@ func (s *Sender) reconnectDone(ok bool) {
 
 // joinHandshake identifies the reconnected socket to the receiver:
 // channel ID + subflow index out, the same frame echoed back on accept.
+// Close expires the handshake rather than waiting out JoinTimeout; a
+// handshake that wins that race is refused by install.
 func (s *Sender) joinHandshake(conn net.Conn, i int) error {
 	hdr := make([]byte, headerSize)
 	header{typ: frameJoin, seq: s.cfg.ChannelID, length: uint32(i)}.put(hdr)
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.JoinTimeout))
+	stop := context.AfterFunc(s.ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	defer stop()
 	if _, err := conn.Write(hdr); err != nil {
 		return fmt.Errorf("multipath: send join: %w", err)
 	}

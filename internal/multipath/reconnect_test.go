@@ -425,3 +425,70 @@ func TestCloseWithRejoinInFlight(t *testing.T) {
 	}
 	check()
 }
+
+// TestCloseExpiresUnansweredJoin: Close while a rejoin's JOIN is sent and
+// never answered returns at once, expiring the handshake instead of
+// waiting out JoinTimeout, and gives back every goroutine and socket.
+func TestCloseExpiresUnansweredJoin(t *testing.T) {
+	check := servertest.CheckLeaks(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	redialed := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			redialed <- c // held open, never answered
+		}
+	}()
+	sConns, rConns := tcpPairs(t, 2)
+	cfg := Config{
+		ChannelID:        7,
+		ReconnectBackoff: time.Millisecond,
+		JoinTimeout:      5 * time.Second,
+		Dialer: func(int) (net.Conn, error) {
+			return net.DialTimeout("tcp", ln.Addr().String(), time.Second)
+		},
+	}
+	s, err := NewSender(sConns, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReceiver(rConns, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _ = io.Copy(io.Discard, r)
+	}()
+	if _, err := s.Write(bytes.Repeat([]byte("x"), 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	_ = rConns[1].Close() // subflow 1 dies on both ends; the sender redials
+	var joining net.Conn
+	select {
+	case joining = <-redialed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sender never redialed")
+	}
+	defer joining.Close()
+	// The JOIN frame arrives: the handshake now waits on the reply.
+	if _, err := io.ReadFull(joining, make([]byte, headerSize)); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	_ = s.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with a JOIN unanswered, want < 1 s", took)
+	}
+	wg.Wait()
+	_ = r.Close()
+	_ = joining.Close()
+	_ = ln.Close()
+	check()
+}

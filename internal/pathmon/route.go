@@ -14,8 +14,8 @@ import (
 )
 
 // hopSep joins hop endpoints into the canonical route key. The unit
-// separator cannot appear in a host:port, so the mapping between a hop
-// list and its key is bijective.
+// separator cannot appear in a host:port, so a hop that contains one
+// reads as two hops (see MakeRoute).
 const hopSep = "\x1f"
 
 // hopLists interns each route key's decoded hop slice, so Hops() on a
@@ -37,22 +37,24 @@ type Route struct {
 var Direct = Route{}
 
 // MakeRoute builds the route crossing the given relay endpoints in
-// order. Empty hop strings are dropped; no hops at all yields Direct.
+// order. Every hop is split at U+001F, the key's separator, so a hop
+// containing it reads as two hops; empty hops and pieces are dropped, and
+// no hops at all yields Direct. The interned hop list is therefore the
+// key split at its separators, and Hops, NumHops, First and String agree
+// for any input.
 func MakeRoute(hops ...string) Route {
-	n := 0
+	clean := make([]string, 0, len(hops))
 	for _, h := range hops {
-		if h != "" {
-			n++
+		for h != "" {
+			var part string
+			part, h, _ = strings.Cut(h, hopSep)
+			if part != "" {
+				clean = append(clean, part)
+			}
 		}
 	}
-	if n == 0 {
+	if len(clean) == 0 {
 		return Route{}
-	}
-	clean := make([]string, 0, n)
-	for _, h := range hops {
-		if h != "" {
-			clean = append(clean, h)
-		}
 	}
 	key := strings.Join(clean, hopSep)
 	hopLists.LoadOrStore(key, clean)

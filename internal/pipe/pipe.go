@@ -44,11 +44,13 @@ type Hook func(dir Dir, chunk []byte, write WriteFunc) error
 
 // Options configures Bidirectional.
 type Options struct {
-	// BufferBytes caps each direction's pooled copy buffer, and so the
-	// largest chunk a read (and the Hook) sees (default
-	// DefaultBufferBytes). A direction starts on the pool's smallest
-	// class and grows to BufferBytes on its first read that fills that
-	// buffer.
+	// BufferBytes caps the bytes each direction holds in flight
+	// (default DefaultBufferBytes), and so the largest chunk a read (and
+	// the Hook) sees. A direction starts on the pool's smallest class.
+	// On its first read that fills that buffer it moves the rest of the
+	// flow through a kernel pipe of BufferBytes with splice(2) when both
+	// conns are *net.TCPConn, there is no Hook and the platform is
+	// Linux; otherwise it grows to a pooled buffer of BufferBytes.
 	BufferBytes int
 	// IdleTimeout tears the pair down when no byte moves in either
 	// direction for this long (0 disables).
@@ -176,27 +178,24 @@ func Bidirectional(ctx context.Context, a, b net.Conn, opts Options) (Result, er
 // most relayed flows carry short messages, and a full buffer per
 // direction would sit mostly unused for their whole life. The first read
 // that fills the buffer shows a bulk flow; once that chunk is delivered
-// (the Hook contract), the small buffer goes back to the pool and a full
-// BufferBytes one takes its place. Whichever buffer is held is returned
-// on every exit path.
+// (the Hook contract), the small buffer goes back to the pool. Between
+// two plain TCP conns without a Hook, spliceRest moves the rest of the
+// flow in the kernel; otherwise a full BufferBytes buffer takes the small
+// one's place. Whichever buffer is held is returned on every exit path.
 func copyHalf(dst, src net.Conn, dir Dir, opts *Options, idle *idleWatch) (int64, error) {
 	buf := Get(min(opts.BufferBytes, classSizes[0]))
 	defer func() { Put(buf) }()
 
-	counter := opts.CountAToB
+	m := &meter{live: opts.CountAToB}
 	if dir == BToA {
-		counter = opts.CountBToA
+		m.live = opts.CountBToA
 	}
-	var n int64
 	write := func(p []byte) error {
 		if len(p) == 0 {
 			return nil
 		}
 		nw, err := dst.Write(p)
-		n += int64(nw)
-		if counter != nil {
-			counter.Add(int64(nw))
-		}
+		m.add(nw)
 		return err
 	}
 	awaitingFirst := opts.OnFirstByte != nil
@@ -215,25 +214,49 @@ func copyHalf(dst, src net.Conn, dir Dir, opts *Options, idle *idleWatch) (int64
 				werr = write(buf[:rn])
 			}
 			if werr != nil {
-				return n, werr
+				return m.n, werr
 			}
 		}
 		if rerr != nil {
 			if rerr == io.EOF {
-				// Propagate the half-close: the destination learns this
-				// direction is done (FIN) while its own sending side stays
-				// open for the opposite direction to drain.
-				closeWrite(dst)
-				closeRead(src)
-				return n, nil
+				halfClose(dst, src)
+				return m.n, nil
 			}
-			return n, rerr
+			return m.n, rerr
 		}
 		if rn == len(buf) && rn < opts.BufferBytes {
 			Put(buf)
+			buf = nil
+			if opts.Hook == nil {
+				if handled, err := spliceRest(dst, src, opts.BufferBytes, idle, m); handled {
+					return m.n, err
+				}
+			}
 			buf = Get(opts.BufferBytes)
 		}
 	}
+}
+
+// meter counts the bytes one direction has written: n for its Result,
+// live for the caller's Options counter, if any.
+type meter struct {
+	n    int64
+	live *atomic.Int64
+}
+
+func (m *meter) add(nw int) {
+	m.n += int64(nw)
+	if m.live != nil {
+		m.live.Add(int64(nw))
+	}
+}
+
+// halfClose propagates a direction's clean EOF: the destination learns
+// this direction is done (FIN) while its own sending side stays open for
+// the opposite direction to drain.
+func halfClose(dst, src net.Conn) {
+	closeWrite(dst)
+	closeRead(src)
 }
 
 // firstErr returns the first hard error, treating EOF and closed-connection

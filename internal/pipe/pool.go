@@ -44,6 +44,12 @@ var (
 	// poolInUse is the bytes of size-class buffers handed out by Get and
 	// not yet Put back.
 	poolInUse atomic.Int64
+
+	// spliced and spliceFallbacks count the bulk directions that moved
+	// the rest of their flow with splice(2), and those that qualified
+	// but kept the user buffer because no pipe could be made or sized.
+	spliced         atomic.Int64
+	spliceFallbacks atomic.Int64
 )
 
 // Get returns a buffer of length n, drawn from the smallest size class
@@ -106,6 +112,13 @@ type PoolStats struct {
 	// handed out: a class Get adds its class size, a class Put subtracts
 	// it. Oversize and foreign buffers are not counted.
 	BytesInUse int64
+	// Spliced counts the bulk directions between two plain TCP conns
+	// without a Hook that gave back their buffer and moved the rest of
+	// the flow with splice(2). SpliceFallbacks counts the ones that
+	// qualified but kept a user buffer: pipe2 failed (EMFILE), or the
+	// pipe could not be sized to BufferBytes (past the per-user
+	// /proc/sys/fs/pipe-user-pages-soft for an unprivileged process).
+	Spliced, SpliceFallbacks int64
 }
 
 // Stats returns the pool's counters. Gets = Hits + Misses and
@@ -113,11 +126,13 @@ type PoolStats struct {
 // Gets == Returns once every buffer is released.
 func Stats() PoolStats {
 	return PoolStats{
-		Hits:       poolHits.Load(),
-		Misses:     poolMisses.Load(),
-		Puts:       poolPuts.Load(),
-		Discards:   poolDiscards.Load(),
-		BytesInUse: poolInUse.Load(),
+		Hits:            poolHits.Load(),
+		Misses:          poolMisses.Load(),
+		Puts:            poolPuts.Load(),
+		Discards:        poolDiscards.Load(),
+		BytesInUse:      poolInUse.Load(),
+		Spliced:         spliced.Load(),
+		SpliceFallbacks: spliceFallbacks.Load(),
 	}
 }
 
@@ -135,4 +150,8 @@ func InstrumentPool(reg *obs.Registry) {
 		"Put buffers matching no size class, dropped for the GC.", poolDiscards.Load)
 	reg.GaugeFunc("cronets_pipe_pool_bytes_in_use",
 		"Bytes of size-class buffers handed out and not yet returned.", poolInUse.Load)
+	reg.CounterFunc("cronets_pipe_spliced_total",
+		"Bulk directions that moved the rest of their flow with splice(2).", spliced.Load)
+	reg.CounterFunc("cronets_pipe_splice_fallbacks_total",
+		"Bulk directions that qualified for splice(2) but kept a user buffer (no pipe).", spliceFallbacks.Load)
 }

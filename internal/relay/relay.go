@@ -50,11 +50,13 @@ type Config struct {
 	// IdleTimeout closes connections with no traffic in either direction
 	// (default 5 min; 0 disables).
 	IdleTimeout time.Duration
-	// BufferBytes caps each direction's copy buffer, and so the largest
-	// chunk one read moves (default 256 KiB): the relay buffer of a
-	// split-TCP proxy. A direction starts on the pool's 4 KiB class and
-	// grows to BufferBytes on its first read that fills it, so a
-	// connection that carries only small messages holds 2 x 4 KiB.
+	// BufferBytes caps the bytes each direction holds (default
+	// 256 KiB): the relay buffer of a split-TCP proxy. A direction
+	// starts on the pool's 4 KiB class, so a connection that carries
+	// only small messages holds 2 x 4 KiB. On its first read that fills
+	// it, a bulk direction moves to a kernel pipe of BufferBytes with
+	// splice(2) on Linux, or to a pooled BufferBytes buffer when it
+	// replays a CONNECT prefix or no pipe can be had (see pipe.Options).
 	BufferBytes int
 	// MaxConns caps concurrent relayed connections (default 1024).
 	MaxConns int
