@@ -15,8 +15,9 @@
 #   make fmt          gofmt diff gate (fails if any file needs formatting)
 #   make check        all of the above
 #   make bench        data-plane benchmarks (pipe, relay, multipath, gateway
-#                     dial, chain dial, probe round) plus the simulator hot
-#                     path (core.MeasurePair)
+#                     dial, chain dial, probe round) plus the simulator's
+#                     hot path (core.MeasurePair) and set-up (the
+#                     paper-scale topology.Generate)
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
 #   make bench-smoke  data-plane allocation gate: the chain failover e2e
@@ -92,7 +93,7 @@ fmt:
 check: fmt vet test race
 
 bench:
-	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair' -benchmem ./...
+	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair|TopologyGenerate' -benchmem ./...
 
 # The alloc gate runs without -race (the race runtime adds allocations of
 # its own); the e2e runs with it.

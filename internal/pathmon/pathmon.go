@@ -187,12 +187,11 @@ type Monitor struct {
 	subs map[chan struct{}]struct{}
 
 	startOnce sync.Once
-	stopOnce  sync.Once
-	stopc     chan struct{}
-	// runCtx is the monitor-lifetime context: every probe and burst the
-	// background loop launches derives from it, so Close's cancel
-	// reaches in-flight dials immediately instead of waiting out a full
-	// ProbeTimeout.
+	// runCtx is the monitor-lifetime context, cancelled by Close: the
+	// loop and ProbeRound read its Done as the shutdown signal, and
+	// every probe and burst the background loop launches derives from
+	// it, so Close reaches in-flight dials immediately instead of
+	// waiting out a full ProbeTimeout.
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	wg        sync.WaitGroup
@@ -267,7 +266,6 @@ func New(cfg Config) (*Monitor, error) {
 		now:       time.Now,
 		states:    make(map[Route]*pathState),
 		static:    make(map[Route]bool),
-		stopc:     make(chan struct{}),
 		runCtx:    runCtx,
 		runCancel: runCancel,
 		subs:      make(map[chan struct{}]struct{}),
@@ -358,10 +356,7 @@ func (m *Monitor) Start() {
 // waits for them to unwind — it returns in milliseconds even with a
 // blackholed dial mid-flight, not after a ProbeTimeout.
 func (m *Monitor) Close() error {
-	m.stopOnce.Do(func() {
-		close(m.stopc)
-		m.runCancel()
-	})
+	m.runCancel()
 	m.wg.Wait()
 	return nil
 }
@@ -373,7 +368,7 @@ func (m *Monitor) loop() {
 	m.ProbeRound(m.runCtx)
 	for {
 		select {
-		case <-m.stopc:
+		case <-m.runCtx.Done():
 			return
 		case <-t.C:
 			m.ProbeRound(m.runCtx)
@@ -421,7 +416,7 @@ func (m *Monitor) ProbeRound(ctx context.Context) {
 	}
 	wg.Wait()
 	select {
-	case <-m.stopc:
+	case <-m.runCtx.Done():
 		// Shut down between probe and integrate: drop the round.
 		return
 	default:

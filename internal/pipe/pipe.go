@@ -273,8 +273,8 @@ func firstErr(errs ...error) error {
 
 // WithReader returns a net.Conn that reads from r but otherwise behaves as
 // conn, forwarding TCP half-close to the underlying connection. Callers
-// that buffered bytes during a handshake (relay CONNECT) use it to hand
-// Bidirectional a connection whose reads replay the buffered prefix.
+// that buffered bytes during a handshake (relay.Connect's reply reader)
+// use it to hand on a connection whose reads replay the buffered prefix.
 func WithReader(conn net.Conn, r io.Reader) net.Conn {
 	return &readerConn{Conn: conn, r: r}
 }

@@ -55,8 +55,10 @@ type Config struct {
 	// starts on the pool's 4 KiB class, so a connection that carries
 	// only small messages holds 2 x 4 KiB. On its first read that fills
 	// it, a bulk direction moves to a kernel pipe of BufferBytes with
-	// splice(2) on Linux, or to a pooled BufferBytes buffer when it
-	// replays a CONNECT prefix or no pipe can be had (see pipe.Options).
+	// splice(2) on Linux, or to a pooled BufferBytes buffer when no
+	// pipe can be had (see pipe.Options). Bytes a client sends behind
+	// its CONNECT line are forwarded before the flow starts, so they do
+	// not keep it off the splice path.
 	BufferBytes int
 	// MaxConns caps concurrent relayed connections (default 1024).
 	MaxConns int
@@ -359,28 +361,37 @@ func (r *Relay) handle(down net.Conn) error {
 	}
 	defer r.srv.Untrack(up)
 
+	var pipelined int
 	if br != nil {
 		if _, err := io.WriteString(down, "OK\n"); err != nil {
 			return fmt.Errorf("relay: write connect reply: %w", err)
 		}
+		// Bytes the client sent behind its CONNECT line without waiting
+		// for OK sit in br. Forward them once, so both directions run
+		// on the raw conns and a bulk flow can still splice.
+		if n := br.Buffered(); n > 0 {
+			b, _ := br.Peek(n) // n bytes are buffered: Peek cannot fail
+			pipelined, err = up.Write(b)
+			r.stats.BytesUp.Add(int64(pipelined))
+			if err != nil {
+				return fmt.Errorf("relay: forward pipelined bytes: %w", err)
+			}
+		}
 	}
-
-	var downReader io.Reader = down
-	if br != nil && br.Buffered() > 0 {
-		downReader = io.MultiReader(io.LimitReader(br, int64(br.Buffered())), down)
-	}
-	return r.splice(down, downReader, up, tc)
+	return r.splice(down, up, pipelined, tc)
 }
 
 // watchAbort watches a CONNECT-mode downstream for the client hanging up
 // while the upstream dial (and its retry schedule) is in flight, calling
 // cancel if it does. Peek never consumes: bytes a client pipelines ahead
-// of the OK reply stay buffered for the splice. The returned stop func
-// unblocks the watcher and waits for it to exit, so the caller regains
-// exclusive use of the connection. In forward mode (nil br) there is
-// nothing to watch and stop is a no-op.
+// of the OK reply stay buffered for handle to forward. The returned stop
+// func unblocks the watcher and waits for it to exit, so the caller
+// regains exclusive use of the connection. In forward mode (nil br)
+// there is nothing to watch, and a client whose bytes br already holds
+// has shown it is there (Peek would return at once); for both, stop is a
+// no-op.
 func (r *Relay) watchAbort(down net.Conn, br *bufio.Reader, cancel context.CancelFunc) (stop func()) {
-	if br == nil {
+	if br == nil || br.Buffered() > 0 {
 		return func() {}
 	}
 	done := make(chan struct{})
@@ -469,15 +480,12 @@ func transientDialError(err error) bool {
 
 // splice runs the shared data-plane loop over the connection pair: pooled
 // buffers, live byte counters, TCP half-close propagation, and the idle
-// timeout, all from internal/pipe. For sampled flows it records a
-// relay.splice span (bytes, first-byte latency); unsampled flows leave
-// the loop's options exactly as before.
-func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flowtrace.Context) error {
-	a := down
-	if downReader != io.Reader(down) {
-		// Replay handshake bytes the CONNECT reader over-read.
-		a = pipe.WithReader(down, downReader)
-	}
+// timeout, all from internal/pipe. pipelined is the count of bytes handle
+// already forwarded upstream from the CONNECT reader. For sampled flows
+// it records a relay.splice span (bytes, pipelined ones included, and
+// first-byte latency); unsampled flows leave the loop's options exactly
+// as before.
+func (r *Relay) splice(down, up net.Conn, pipelined int, tc flowtrace.Context) error {
 	opts := pipe.Options{
 		BufferBytes: r.cfg.BufferBytes,
 		IdleTimeout: r.cfg.IdleTimeout,
@@ -497,8 +505,8 @@ func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flow
 			}
 		}
 	}
-	res, err := pipe.Bidirectional(context.Background(), a, up, opts)
-	span.AddBytes(res.AToB + res.BToA)
+	res, err := pipe.Bidirectional(context.Background(), down, up, opts)
+	span.AddBytes(int64(pipelined) + res.AToB + res.BToA)
 	span.End()
 	return err
 }

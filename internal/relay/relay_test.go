@@ -5,10 +5,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -474,31 +475,77 @@ func TestLargeTransferThroughRelay(t *testing.T) {
 	}
 }
 
+// TestConnectModePipelinedData: bytes a client sends in the same write as
+// its CONNECT line, without waiting for OK, reach the target intact,
+// whether they fit in the relay's CONNECT reader or run far past it, and
+// count in Stats.BytesUp and the relay.splice span.
 func TestConnectModePipelinedData(t *testing.T) {
-	// Data written immediately after the CONNECT line must not be lost.
 	echo := echoServer(t)
-	r := startRelay(t, Config{})
-	conn, err := net.Dial("tcp", r.Addr().String())
+	tracer := flowtrace.New(flowtrace.Config{Seed: 1})
+	r := startRelay(t, Config{Tracer: tracer})
+	tc := flowtrace.Context{Trace: flowtrace.TraceID{1}, Span: 1, Sampled: true}
+	var up int64
+	for _, payload := range [][]byte{[]byte("early"), seededPayload(1 << 20)} {
+		got := pipelinedEcho(t, r.Addr().String(), echo.Addr().String(), tc, payload)
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte pipelined payload came back different", len(payload))
+		}
+		up += int64(len(payload))
+		waitFor(t, func() bool { return r.Stats().BytesUp.Load() == up })
+	}
+	spliceBytes := func() []int64 {
+		var out []int64
+		for _, s := range tracer.Snapshot() {
+			if s.Name == "relay.splice" {
+				out = append(out, s.Bytes())
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	waitFor(t, func() bool { return len(spliceBytes()) == 2 })
+	if got, want := spliceBytes(), []int64{2 * 5, 2 << 20}; !slices.Equal(got, want) {
+		t.Errorf("relay.splice span bytes = %v, want %v", got, want)
+	}
+}
+
+// pipelinedEcho sends payload to the echo target echoAddr through the
+// CONNECT-mode relay at relayAddr, in the same write as the CONNECT line
+// (carrying tc), and returns the echo. The connection is closed on
+// return.
+func pipelinedEcho(t *testing.T, relayAddr, echoAddr string, tc flowtrace.Context, payload []byte) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", relayAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "CONNECT %s\nearly", echo.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
+	werr := make(chan error, 1)
+	go func() {
+		_, err := conn.Write(append(appendConnectLine(nil, echoAddr, tc), payload...))
+		werr <- err
+	}()
 	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	line, err := br.ReadString('\n')
 	if err != nil || strings.TrimSpace(line) != "OK" {
 		t.Fatalf("handshake: %q, %v", line, err)
 	}
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	got := make([]byte, len(payload))
+	if _, err := io.ReadFull(br, got); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf) != "early" {
-		t.Errorf("pipelined data = %q", buf)
+	if err := <-werr; err != nil {
+		t.Fatal(err)
 	}
+	return got
+}
+
+// seededPayload returns n bytes of fixed pseudo-random data.
+func seededPayload(n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(1)).Read(b)
+	return b
 }
 
 // flakyDialer fails its first n dials with ECONNREFUSED, then delegates

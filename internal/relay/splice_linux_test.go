@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/flowtrace"
 	"cronets/internal/pipe"
 	"cronets/internal/servertest"
 )
@@ -90,4 +92,22 @@ func TestCloseWithSplicedFlows(t *testing.T) {
 		_ = c.Close()
 	}
 	check()
+}
+
+// TestPipelinedFlowSplices: a client that sends a bulk payload in the same
+// write as its CONNECT line, without waiting for OK, still has both
+// directions of its flow spliced in the kernel.
+func TestPipelinedFlowSplices(t *testing.T) {
+	echo := echoServer(t)
+	r := startRelay(t, Config{})
+	spliced := pipe.Stats().Spliced
+	payload := seededPayload(1 << 20)
+	got := pipelinedEcho(t, r.Addr().String(), echo.Addr().String(), flowtrace.Context{}, payload)
+	if !bytes.Equal(got, payload) {
+		t.Fatal("pipelined payload came back different")
+	}
+	waitFor(t, func() bool { return r.Stats().Active.Load() == 0 })
+	if n := pipe.Stats().Spliced - spliced; n != 2 {
+		t.Errorf("pipelined flow spliced %d directions, want 2", n)
+	}
 }

@@ -60,6 +60,9 @@ type AS struct {
 	Routers []netsim.NodeID
 	// Presence lists the cities the AS has routers in, parallel to Routers.
 	Presence []geo.Location
+	// presenceIdx holds each Presence city's index in the generator's
+	// distance table, parallel to Presence.
+	presenceIdx []int
 
 	// Providers, Customers and Peers hold the ASNs of business neighbors.
 	Providers []int

@@ -1,9 +1,11 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -162,6 +164,9 @@ type Internet struct {
 	peerings map[asPairKey][]peeringPoint
 	routes   map[int]map[int]routeEntry // dest ASN -> src ASN -> entry
 	asIndex  map[int]*AS
+	// dist is the build's catalog distance table. Generate makes it
+	// first and drops it when the build is done.
+	dist *distTable
 }
 
 // Config returns the configuration the Internet was generated with.
@@ -195,7 +200,12 @@ func Generate(cfg Config) (*Internet, error) {
 		asIndex:  make(map[int]*AS),
 	}
 	catalog := geo.Catalog()
+	in.dist = newDistTable(catalog)
 	majors := catalog[:20] // cities big enough to host core PoPs
+	citiesOn := make(map[string][]geo.Location)
+	for _, c := range catalog {
+		citiesOn[c.Continent] = append(citiesOn[c.Continent], c)
+	}
 
 	// Tier-1 providers: global footprint — at least one PoP per continent
 	// (so inter-AS peering stays local and the long-haul segments live
@@ -206,7 +216,7 @@ func Generate(cfg Config) (*Internet, error) {
 		a := in.newAS(fmt.Sprintf("T1-%d", i), Tier1)
 		seen := make(map[string]bool)
 		for _, cont := range continentsAll {
-			regional := citiesOn(catalog, cont)
+			regional := citiesOn[cont]
 			for _, city := range pickCities(rng, regional, 1+rng.Intn(2)) {
 				if !seen[city.Name] {
 					seen[city.Name] = true
@@ -226,7 +236,7 @@ func Generate(cfg Config) (*Internet, error) {
 	continents := []string{"NA", "EU", "AS", "SA", "OC"}
 	for i := 0; i < cfg.NumTier2; i++ {
 		cont := continents[i%len(continents)]
-		regional := citiesOn(catalog, cont)
+		regional := citiesOn[cont]
 		if len(regional) == 0 {
 			continue
 		}
@@ -340,9 +350,9 @@ func Generate(cfg Config) (*Internet, error) {
 			}
 			r -= cw.weight
 		}
-		regional := citiesOn(catalog, cont)
+		regional := citiesOn[cont]
 		city := regional[rng.Intn(len(regional))]
-		h, err := in.addStubHost(rng, fmt.Sprintf("client-%s-%d", city.Name, i),
+		h, err := in.addStubHost(rng, t2s, fmt.Sprintf("client-%s-%d", city.Name, i),
 			city, RoleClient, cfg.ClientAccessMbps)
 		if err != nil {
 			return nil, err
@@ -359,13 +369,14 @@ func Generate(cfg Config) (*Internet, error) {
 		if !ok {
 			return nil, fmt.Errorf("topology: unknown server city %q", name)
 		}
-		h, err := in.addStubHost(rng, fmt.Sprintf("server-%s-%d", city.Name, i),
+		h, err := in.addStubHost(rng, t2s, fmt.Sprintf("server-%s-%d", city.Name, i),
 			city, RoleServer, cfg.ServerAccessMbps)
 		if err != nil {
 			return nil, err
 		}
 		in.Servers = append(in.Servers, h)
 	}
+	in.dist = nil
 	return in, nil
 }
 
@@ -383,6 +394,7 @@ func (in *Internet) addRouter(a *AS, city geo.Location) netsim.NodeID {
 	})
 	a.Routers = append(a.Routers, id)
 	a.Presence = append(a.Presence, city)
+	a.presenceIdx = append(a.presenceIdx, in.dist.index(city))
 	return id
 }
 
@@ -492,7 +504,7 @@ func (in *Internet) meshAS(rng *rand.Rand, a *AS) error {
 	}
 	for i := 1; i < len(a.Routers); i++ {
 		// Spanning link: nearest already-placed router.
-		if j := nearestRouter(a, i, i); j >= 0 {
+		if j := in.nearestRouter(a, i, i); j >= 0 {
 			if err := addLink(i, j); err != nil {
 				return fmt.Errorf("topology: backbone %s: %w", a.Name, err)
 			}
@@ -500,7 +512,7 @@ func (in *Internet) meshAS(rng *rand.Rand, a *AS) error {
 	}
 	for i := 0; i < len(a.Routers); i++ {
 		// Redundancy link: nearest router overall.
-		if j := nearestRouter(a, i, len(a.Routers)); j >= 0 {
+		if j := in.nearestRouter(a, i, len(a.Routers)); j >= 0 {
 			if err := addLink(i, j); err != nil {
 				return fmt.Errorf("topology: backbone %s: %w", a.Name, err)
 			}
@@ -528,14 +540,14 @@ func (in *Internet) meshAS(rng *rand.Rand, a *AS) error {
 
 // nearestRouter returns the index of the router geographically closest to
 // router i among indexes [0, limit) excluding i, or -1 if none.
-func nearestRouter(a *AS, i, limit int) int {
+func (in *Internet) nearestRouter(a *AS, i, limit int) int {
 	best := -1
 	bestDist := 0.0
 	for j := 0; j < limit && j < len(a.Routers); j++ {
 		if j == i {
 			continue
 		}
-		d := geo.DistanceKm(a.Presence[i], a.Presence[j])
+		d := in.dist.between(a, i, a, j)
 		if best < 0 || d < bestDist {
 			best, bestDist = j, d
 		}
@@ -563,14 +575,14 @@ func (in *Internet) connectASes(rng *rand.Rand, x, y *AS, rel relKind, class lin
 		if y.Tier == TierCloud {
 			cloud, other = y, x
 		}
-		pairs = perRouterPairs(cloud, other)
+		pairs = in.perRouterPairs(cloud, other)
 		if cloud != x {
 			for i, p := range pairs {
 				pairs[i] = peeringPoint{a: p.b, b: p.a}
 			}
 		}
 	} else {
-		pairs = sampledRouterPairs(rng, x, y, 2+rng.Intn(2))
+		pairs = in.sampledRouterPairs(rng, x, y, 2+rng.Intn(2))
 	}
 	if len(pairs) == 0 {
 		return fmt.Errorf("topology: no router pair between %s and %s", x.Name, y.Name)
@@ -600,15 +612,16 @@ func (in *Internet) connectASes(rng *rand.Rand, x, y *AS, rel relKind, class lin
 }
 
 // addStubHost creates a single-router stub AS in the city, homes it to the
-// nearest Tier-2 provider(s), and attaches a host via an access link.
-func (in *Internet) addStubHost(rng *rand.Rand, name string, city geo.Location,
+// nearest of the Tier-2 providers t2s, and attaches a host via an access
+// link.
+func (in *Internet) addStubHost(rng *rand.Rand, t2s []*AS, name string, city geo.Location,
 	role HostRole, accessMbps float64) (Host, error) {
 
 	stub := in.newAS("stub-"+name, TierStub)
 	router := in.addRouter(stub, city)
 
 	// Home to the 1-2 nearest Tier-2 providers (same continent preferred).
-	providers := in.nearestTier2(city, 3)
+	providers := in.nearestTier2(t2s, city, 3)
 	if len(providers) == 0 {
 		return Host{}, fmt.Errorf("topology: no tier-2 provider for %s", name)
 	}
@@ -632,37 +645,40 @@ func (in *Internet) addStubHost(rng *rand.Rand, name string, city geo.Location,
 	return Host{Node: host, Access: router, ASN: stub.ASN, Loc: city, Role: role, Name: name}, nil
 }
 
-// nearestTier2 returns up to n Tier-2 ASes ordered by distance of their
-// closest presence to the city.
-func (in *Internet) nearestTier2(city geo.Location, n int) []*AS {
+// nearestTier2 returns up to n of the Tier-2 ASes t2s ordered by distance
+// of their closest presence to the city.
+func (in *Internet) nearestTier2(t2s []*AS, city geo.Location, n int) []*AS {
 	type cand struct {
 		as   *AS
 		dist float64
 	}
-	var cands []cand
-	for _, a := range in.byTier(Tier2) {
+	// near holds the n nearest so far in (distance, ASN) order. That
+	// order is total, so keeping the head as candidates arrive gives what
+	// sorting every candidate and cutting at n would.
+	near := make([]cand, 0, n+1)
+	ci := in.dist.index(city)
+	for _, a := range t2s {
 		best := -1.0
-		for _, p := range a.Presence {
-			d := geo.DistanceKm(city, p)
+		for _, pi := range a.presenceIdx {
+			d := in.dist.distance(ci, pi)
 			if best < 0 || d < best {
 				best = d
 			}
 		}
-		if best >= 0 {
-			cands = append(cands, cand{a, best})
+		if best < 0 {
+			continue
+		}
+		i := len(near)
+		for i > 0 && (best < near[i-1].dist || best == near[i-1].dist && a.ASN < near[i-1].as.ASN) {
+			i--
+		}
+		if i < n {
+			near = slices.Insert(near, i, cand{a, best})
+			near = near[:min(len(near), n)]
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
-		}
-		return cands[i].as.ASN < cands[j].as.ASN
-	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]*AS, len(cands))
-	for i, c := range cands {
+	out := make([]*AS, len(near))
+	for i, c := range near {
 		out[i] = c.as
 	}
 	return out
@@ -693,14 +709,13 @@ func (in *Internet) cloudSharesContinent(a *AS) bool {
 // perRouterPairs returns one peering point per cloud router: the nearest
 // router of the other AS, with duplicates removed. Points are oriented with
 // .a on the cloud side.
-func perRouterPairs(cloud, other *AS) []peeringPoint {
-	seen := make(map[peeringPoint]bool)
-	var out []peeringPoint
+func (in *Internet) perRouterPairs(cloud, other *AS) []peeringPoint {
+	out := make([]peeringPoint, 0, len(cloud.Routers))
 	for i, cr := range cloud.Routers {
 		best := -1
 		bestDist := 0.0
 		for j := range other.Routers {
-			d := geo.DistanceKm(cloud.Presence[i], other.Presence[j])
+			d := in.dist.between(cloud, i, other, j)
 			if best < 0 || d < bestDist {
 				best, bestDist = j, d
 			}
@@ -708,9 +723,7 @@ func perRouterPairs(cloud, other *AS) []peeringPoint {
 		if best < 0 {
 			continue
 		}
-		p := peeringPoint{a: cr, b: other.Routers[best]}
-		if !seen[p] {
-			seen[p] = true
+		if p := (peeringPoint{a: cr, b: other.Routers[best]}); !slices.Contains(out, p) {
 			out = append(out, p)
 		}
 	}
@@ -722,8 +735,8 @@ func perRouterPairs(cloud, other *AS) []peeringPoint {
 // geographic pairings but are not exactly the minimum, and the spread is
 // what lets paths entering an AS at different points take different
 // internal routes.
-func sampledRouterPairs(rng *rand.Rand, x, y *AS, n int) []peeringPoint {
-	cands := closestRouterPairs(x, y, 2*n+2)
+func (in *Internet) sampledRouterPairs(rng *rand.Rand, x, y *AS, n int) []peeringPoint {
+	cands := in.closestRouterPairs(x, y, 2*n+2)
 	if len(cands) <= n {
 		return cands
 	}
@@ -743,68 +756,67 @@ func sampledRouterPairs(rng *rand.Rand, x, y *AS, n int) []peeringPoint {
 // single "peering" hop.
 const maxPeeringKm = 800
 
+// peeringCand is a candidate interconnect and its geographic length.
+type peeringCand struct {
+	p    peeringPoint
+	dist float64
+}
+
+// comparePeeringCands orders candidates by distance, then by router IDs.
+// Router pairs are distinct, so the order is total and any sort of the
+// same set gives the same slice.
+func comparePeeringCands(x, y peeringCand) int {
+	if c := cmp.Compare(x.dist, y.dist); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.p.a, y.p.a); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.p.b, y.p.b)
+}
+
 // closestRouterPairs returns up to n router pairs between the two ASes,
 // ordered by geographic distance (the natural IXP locations), keeping only
 // co-located pairs when any exist. Points are oriented with .a on x's side.
-func closestRouterPairs(x, y *AS, n int) []peeringPoint {
-	type cand struct {
-		p    peeringPoint
-		dist float64
-	}
-	var cands []cand
+func (in *Internet) closestRouterPairs(x, y *AS, n int) []peeringPoint {
+	// Keep co-located pairs only; if the ASes share no metro, allow the
+	// single closest pair (a rural long-haul interconnect). Filtering
+	// before the sort leaves the same pairs in the same order as sorting
+	// every pair and cutting at maxPeeringKm, without ordering the
+	// long-haul pairs that the cut would drop.
+	var local []peeringCand
+	closest := peeringCand{dist: math.Inf(1)}
 	for i, rx := range x.Routers {
 		for j, ry := range y.Routers {
-			d := geo.DistanceKm(x.Presence[i], y.Presence[j])
-			cands = append(cands, cand{peeringPoint{a: rx, b: ry}, d})
+			c := peeringCand{peeringPoint{a: rx, b: ry}, in.dist.between(x, i, y, j)}
+			if c.dist <= maxPeeringKm {
+				local = append(local, c)
+			} else if comparePeeringCands(c, closest) < 0 {
+				closest = c
+			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
-		}
-		if cands[i].p.a != cands[j].p.a {
-			return cands[i].p.a < cands[j].p.a
-		}
-		return cands[i].p.b < cands[j].p.b
-	})
-	// Keep co-located pairs only; if the ASes share no metro, allow the
-	// single closest pair (a rural long-haul interconnect).
-	local := cands
-	for i, c := range cands {
-		if c.dist > maxPeeringKm {
-			local = cands[:i]
-			break
-		}
+	if len(local) == 0 && !math.IsInf(closest.dist, 1) {
+		local = append(local, closest)
 	}
-	if len(local) == 0 && len(cands) > 0 {
-		local = cands[:1]
-	}
+	slices.SortFunc(local, comparePeeringCands)
 	// Spread the interconnects across distinct metros where possible:
 	// peering at two routers of the same IXP adds no path diversity.
-	seenA := make(map[netsim.NodeID]bool)
 	out := make([]peeringPoint, 0, n)
 	for _, c := range local {
 		if len(out) >= n {
 			break
 		}
-		if seenA[c.p.a] {
+		if slices.ContainsFunc(out, func(o peeringPoint) bool { return o.a == c.p.a }) {
 			continue
 		}
-		seenA[c.p.a] = true
 		out = append(out, c.p)
 	}
 	for _, c := range local {
 		if len(out) >= n {
 			break
 		}
-		dup := false
-		for _, o := range out {
-			if o == c.p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, c.p) {
 			out = append(out, c.p)
 		}
 	}
@@ -846,16 +858,6 @@ func sameContinent(a, b *AS) bool {
 		}
 	}
 	return false
-}
-
-func citiesOn(catalog []geo.Location, continent string) []geo.Location {
-	var out []geo.Location
-	for _, c := range catalog {
-		if c.Continent == continent {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func uniform(rng *rand.Rand, lo, hi float64) float64 {
