@@ -16,8 +16,9 @@
 #   make check        all of the above
 #   make bench        data-plane benchmarks (pipe, relay, multipath, gateway
 #                     dial, chain dial, probe round) plus the simulator's
-#                     hot path (core.MeasurePair) and set-up (the
-#                     paper-scale topology.Generate)
+#                     hot path (core.MeasurePair), set-up (the paper-scale
+#                     topology.Generate) and routing (building every BGP
+#                     route table, and warm router-path lookups)
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
 #   make bench-smoke  data-plane allocation gate: the chain failover e2e
@@ -93,7 +94,7 @@ fmt:
 check: fmt vet test race
 
 bench:
-	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair|TopologyGenerate' -benchmem ./...
+	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair|TopologyGenerate|RoutesFor|RouterPath' -benchmem ./...
 
 # The alloc gate runs without -race (the race runtime adds allocations of
 # its own); the e2e runs with it.

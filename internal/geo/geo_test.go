@@ -101,6 +101,27 @@ func TestFindLocation(t *testing.T) {
 	}
 }
 
+// TestFindLocationReadsTheCatalogInPlace: a lookup allocates nothing, and
+// a caller that edits its Catalog slice changes neither later Catalog
+// calls nor FindLocation.
+func TestFindLocationReadsTheCatalogInPlace(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { FindLocation("Brisbane") }); n != 0 {
+		t.Errorf("FindLocation allocates %v times per call, want 0", n)
+	}
+	c := Catalog()
+	want := c[0]
+	c[0].Name = "Atlantis"
+	if got := Catalog()[0]; got != want {
+		t.Errorf("Catalog()[0] = %v after editing an earlier copy, want %v", got, want)
+	}
+	if l, ok := FindLocation(want.Name); !ok || l != want {
+		t.Errorf("FindLocation(%q) = %v, %v after editing a Catalog copy", want.Name, l, ok)
+	}
+	if _, ok := FindLocation("Atlantis"); ok {
+		t.Error("FindLocation sees an edit made to a Catalog copy")
+	}
+}
+
 func TestLocationString(t *testing.T) {
 	l := Location{Name: "Paris", Continent: "EU"}
 	if got := l.String(); got != "Paris (EU)" {

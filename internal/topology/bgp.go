@@ -1,13 +1,11 @@
 package topology
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // routeKind records how an AS learned its best route to a destination. The
-// Gao-Rexford preference order is customer > peer > provider.
-type routeKind int
+// Gao-Rexford preference order is customer > peer > provider. The zero
+// value means no route.
+type routeKind uint8
 
 const (
 	routeSelf routeKind = iota + 1
@@ -32,34 +30,54 @@ func (k routeKind) preference() int {
 	}
 }
 
-// routeEntry is an AS's best route toward a destination. nexts holds every
-// next-hop ASN tied on (kind, length): real BGP breaks such ties per
-// router by IGP distance to the egress (hot-potato), which RouterPath
-// implements; the deterministic single next hop used by ASPath is next.
+// routeTable holds every AS's best route toward one destination, packed
+// into two arrays. slots[asn-1] is AS asn's route, and its next hops are
+// nexts[off : off+n]: every next-hop ASN tied on (kind, length), sorted.
+// Real BGP breaks such ties per router by IGP distance to the egress
+// (hot-potato), which RouterPath implements; the deterministic single next
+// hop used by ASPath is the first.
+type routeTable struct {
+	slots []routeSlot
+	nexts []int32
+}
+
+// routeSlot is one AS's route in a routeTable. Like the next-hop ASNs, its
+// counts are int32: an AS-path length or a tie count is below the number
+// of ASes, and an offset below twice the number of AS adjacencies.
+type routeSlot struct {
+	off    int32     // index of the first next hop in routeTable.nexts
+	n      int32     // number of tied next hops; 0 for the destination itself
+	length int32     // AS-path length in hops
+	kind   routeKind // 0 when the AS has no route
+}
+
+// route returns AS asn's slot and reports whether asn has a route.
+func (t *routeTable) route(asn int) (routeSlot, bool) {
+	if asn < 1 || asn > len(t.slots) {
+		return routeSlot{}, false
+	}
+	s := t.slots[asn-1]
+	return s, s.kind != 0
+}
+
+// ties returns the slot's tied next hops, sorted.
+func (t *routeTable) ties(s routeSlot) []int32 {
+	return t.nexts[s.off : s.off+s.n]
+}
+
+// routeEntry is an AS's best route toward a destination while routesFor
+// computes it: the route's (kind, length) class and its tied next hops,
+// sorted.
 type routeEntry struct {
-	next   int // lowest tied next-hop ASN (0 for the destination itself)
-	kind   routeKind
-	length int   // AS-path length in hops
-	nexts  []int // all next hops tied on (kind, length), sorted
+	kind   routeKind // 0 until the AS has a route
+	length int       // AS-path length in hops
+	nexts  []int
 }
 
 // sameClass reports whether two routes tie under BGP selection before the
 // final deterministic tie-break.
 func (a routeEntry) sameClass(b routeEntry) bool {
 	return a.kind.preference() == b.kind.preference() && a.length == b.length
-}
-
-// better reports whether a beats b under BGP-like selection: route kind
-// first, then shorter AS path, then lower next-hop ASN (deterministic
-// tiebreak standing in for router-ID comparison).
-func (a routeEntry) better(b routeEntry) bool {
-	if a.kind.preference() != b.kind.preference() {
-		return a.kind.preference() < b.kind.preference()
-	}
-	if a.length != b.length {
-		return a.length < b.length
-	}
-	return a.next < b.next
 }
 
 // routesFor returns (computing and caching on first use) the best route of
@@ -71,32 +89,30 @@ func (a routeEntry) better(b routeEntry) bool {
 // The resulting AS paths are therefore valley-free: an uphill
 // (customer->provider) prefix, at most one peer edge, then a downhill
 // (provider->customer) suffix.
-func (in *Internet) routesFor(dst int) (map[int]routeEntry, error) {
-	if r, ok := in.routes[dst]; ok {
-		return r, nil
-	}
-	if _, ok := in.asIndex[dst]; !ok {
+func (in *Internet) routesFor(dst int) (*routeTable, error) {
+	if dst < 1 || dst > len(in.routes) {
 		return nil, fmt.Errorf("topology: routesFor: no AS %d", dst)
 	}
-	best := make(map[int]routeEntry, len(in.ASes))
-	best[dst] = routeEntry{next: 0, kind: routeSelf, length: 0}
+	if t := &in.routes[dst-1]; t.slots != nil {
+		return t, nil
+	}
+	// best[asn-1] is AS asn's route so far.
+	best := make([]routeEntry, len(in.ASes))
+	best[dst-1].kind = routeSelf
 
-	// consider merges a candidate next hop into the table: strictly better
-	// classes replace; ties on (kind, length) accumulate into nexts (the
-	// hot-potato candidates). It reports whether the class improved.
-	consider := func(asn int, cand routeEntry) bool {
-		old, ok := best[asn]
+	// consider merges a candidate route via next hop `via` into the table:
+	// strictly better classes replace; ties on (kind, length) accumulate
+	// into nexts (the hot-potato candidates). It reports whether the class
+	// improved.
+	consider := func(asn, via int, cand routeEntry) bool {
+		e := &best[asn-1]
 		switch {
-		case !ok || betterClass(cand, old):
-			cand.nexts = []int{cand.next}
-			best[asn] = cand
+		case e.kind == 0 || betterClass(cand, *e):
+			cand.nexts = append(e.nexts[:0], via)
+			*e = cand
 			return true
-		case old.sameClass(cand):
-			old.nexts = insertSorted(old.nexts, cand.next)
-			if cand.next < old.next {
-				old.next = cand.next
-			}
-			best[asn] = old
+		case e.sameClass(cand):
+			e.nexts = insertSorted(e.nexts, via)
 		}
 		return false
 	}
@@ -107,10 +123,9 @@ func (in *Internet) routesFor(dst int) (map[int]routeEntry, error) {
 	for len(frontier) > 0 {
 		var next []int
 		for _, asn := range frontier {
-			cur := best[asn]
-			for _, prov := range in.asIndex[asn].Providers {
-				cand := routeEntry{next: asn, kind: routeCustomer, length: cur.length + 1}
-				if consider(prov, cand) {
+			cand := routeEntry{kind: routeCustomer, length: best[asn-1].length + 1}
+			for _, prov := range in.ASes[asn-1].Providers {
+				if consider(prov, asn, cand) {
 					next = append(next, prov)
 				}
 			}
@@ -119,52 +134,71 @@ func (in *Internet) routesFor(dst int) (map[int]routeEntry, error) {
 	}
 
 	// Phase 2: ASes holding customer (or self) routes advertise them across
-	// peering edges. Peer routes do not propagate further sideways.
-	type peerCand struct {
-		asn  int
-		cand routeEntry
-	}
-	var peerCands []peerCand
-	for asn, e := range best {
+	// peering edges. Peer routes do not propagate further sideways. A peer
+	// route never replaces a customer or self route, so merging each offer
+	// during the scan leaves the set of advertisers unchanged.
+	for i, e := range best {
 		if e.kind != routeCustomer && e.kind != routeSelf {
 			continue
 		}
-		for _, peer := range in.asIndex[asn].Peers {
-			peerCands = append(peerCands, peerCand{
-				asn:  peer,
-				cand: routeEntry{next: asn, kind: routePeer, length: e.length + 1},
-			})
+		cand := routeEntry{kind: routePeer, length: e.length + 1}
+		for _, peer := range in.ASes[i].Peers {
+			consider(peer, i+1, cand)
 		}
-	}
-	for _, pc := range peerCands {
-		consider(pc.asn, pc.cand)
 	}
 
-	// Phase 3: provider routes descend customer edges. Use a priority queue
-	// on path length so each AS settles on its shortest provider route.
-	pq := &entryQueue{}
-	heap.Init(pq)
-	for asn, e := range best {
-		heap.Push(pq, queued{asn: asn, entry: e})
+	// Phase 3: provider routes descend customer edges, shortest first, so
+	// each AS settles on its shortest provider route. byLength[l] lists the
+	// ASes whose route has length l. Extending a route of length l offers a
+	// provider route of length l+1, which loses to every route of another
+	// kind and to every shorter one, so it lands only on an AS with no route
+	// yet or ties a route of length l+1: each AS joins one list, each list
+	// is complete before its turn, and the order within a list cannot
+	// change the result.
+	var byLength [][]int
+	for i, e := range best {
+		if e.kind == 0 {
+			continue
+		}
+		for len(byLength) <= e.length {
+			byLength = append(byLength, nil)
+		}
+		byLength[e.length] = append(byLength[e.length], i+1)
 	}
-	for pq.Len() > 0 {
-		q, ok := heap.Pop(pq).(queued)
-		if !ok {
-			break
-		}
-		if cur, exists := best[q.asn]; !exists || !cur.sameClass(q.entry) {
-			continue // stale queue entry
-		}
-		for _, cust := range in.asIndex[q.asn].Customers {
-			cand := routeEntry{next: q.asn, kind: routeProvider, length: q.entry.length + 1}
-			if consider(cust, cand) {
-				heap.Push(pq, queued{asn: cust, entry: cand})
+	for l := 0; l < len(byLength); l++ {
+		cand := routeEntry{kind: routeProvider, length: l + 1}
+		for _, asn := range byLength[l] {
+			for _, cust := range in.ASes[asn-1].Customers {
+				if consider(cust, asn, cand) {
+					if l+1 == len(byLength) {
+						byLength = append(byLength, nil)
+					}
+					byLength[l+1] = append(byLength[l+1], cust)
+				}
 			}
 		}
 	}
 
-	in.routes[dst] = best
-	return best, nil
+	// Pack the table: one slot per AS and one array of next hops.
+	total := 0
+	for _, e := range best {
+		total += len(e.nexts)
+	}
+	t := routeTable{slots: make([]routeSlot, len(best)), nexts: make([]int32, 0, total)}
+	for i, e := range best {
+		if e.kind == 0 {
+			continue
+		}
+		t.slots[i] = routeSlot{
+			off: int32(len(t.nexts)), n: int32(len(e.nexts)),
+			length: int32(e.length), kind: e.kind,
+		}
+		for _, v := range e.nexts {
+			t.nexts = append(t.nexts, int32(v))
+		}
+	}
+	in.routes[dst-1] = t
+	return &in.routes[dst-1], nil
 }
 
 // betterClass reports whether a's (kind, length) class strictly beats b's.
@@ -191,36 +225,6 @@ func insertSorted(xs []int, v int) []int {
 	return append(xs, v)
 }
 
-type queued struct {
-	asn   int
-	entry routeEntry
-}
-
-type entryQueue []queued
-
-func (q entryQueue) Len() int { return len(q) }
-func (q entryQueue) Less(i, j int) bool {
-	if q[i].entry.length != q[j].entry.length {
-		return q[i].entry.length < q[j].entry.length
-	}
-	return q[i].asn < q[j].asn
-}
-func (q entryQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *entryQueue) Push(x any) {
-	item, ok := x.(queued)
-	if !ok {
-		return
-	}
-	*q = append(*q, item)
-}
-func (q *entryQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
-}
-
 // ASPath returns the AS-level default route from src to dst (inclusive of
 // both), as selected by the valley-free decision process.
 func (in *Internet) ASPath(src, dst int) ([]int, error) {
@@ -234,11 +238,11 @@ func (in *Internet) ASPath(src, dst int) ([]int, error) {
 	path := []int{src}
 	cur := src
 	for cur != dst {
-		e, ok := routes[cur]
+		s, ok := routes.route(cur)
 		if !ok {
 			return nil, fmt.Errorf("topology: AS %d has no route to %d", src, dst)
 		}
-		cur = e.next
+		cur = int(routes.ties(s)[0])
 		path = append(path, cur)
 		if len(path) > len(in.ASes)+1 {
 			return nil, fmt.Errorf("topology: routing loop from %d to %d", src, dst)
@@ -289,8 +293,8 @@ const (
 )
 
 func (in *Internet) relationship(from, to int) (hopRel, bool) {
-	a, ok := in.asIndex[from]
-	if !ok {
+	a, err := in.AS(from)
+	if err != nil {
 		return 0, false
 	}
 	for _, p := range a.Providers {

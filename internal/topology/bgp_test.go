@@ -14,20 +14,22 @@ func TestBGPTiesAreRecorded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, ok := routes[in.CloudASN]
+		e, ok := routes.route(in.CloudASN)
 		if !ok {
 			t.Fatalf("cloud has no route to %s", c.Name)
 		}
-		if len(e.nexts) == 0 {
+		nexts := routes.ties(e)
+		if len(nexts) == 0 {
 			t.Fatalf("route to %s has empty candidate set", c.Name)
 		}
 		// The deterministic next must be the smallest candidate.
-		for _, n := range e.nexts {
-			if n < e.next {
-				t.Fatalf("next %d is not the smallest of %v", e.next, e.nexts)
+		next := nexts[0]
+		for _, n := range nexts {
+			if n < next {
+				t.Fatalf("next %d is not the smallest of %v", next, nexts)
 			}
 		}
-		if len(e.nexts) > 1 {
+		if len(nexts) > 1 {
 			multi++
 		}
 	}
@@ -45,12 +47,13 @@ func TestTiedCandidatesShareClass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for asn, e := range routes {
-			if len(e.nexts) < 2 || e.kind == routeSelf {
+		for i, e := range routes.slots {
+			asn := i + 1
+			if e.n < 2 || e.kind == routeSelf {
 				continue
 			}
-			for _, n := range e.nexts {
-				ne, ok := routes[n]
+			for _, n := range routes.ties(e) {
+				ne, ok := routes.route(int(n))
 				if !ok {
 					t.Fatalf("AS%d candidate %d has no route", asn, n)
 				}

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cronets/internal/netsim"
 )
@@ -31,7 +32,7 @@ func (in *Internet) RouterPath(from, to Host) (netsim.Path, error) {
 		if steps > len(in.ASes)+1 {
 			return netsim.Path{}, fmt.Errorf("topology: routing loop from %s to %s", from.Name, to.Name)
 		}
-		e, ok := routes[cur]
+		s, ok := routes.route(cur)
 		if !ok {
 			return netsim.Path{}, fmt.Errorf("topology: AS %d has no route to %d", cur, to.ASN)
 		}
@@ -42,15 +43,15 @@ func (in *Internet) RouterPath(from, to Host) (netsim.Path, error) {
 		// Hot-potato across the tied BGP candidates: among every peering
 		// point toward every equally-good next AS, exit at the one
 		// closest (in intra-AS delay) to where the traffic entered.
-		nextAS, egress, nextIngress, err := in.pickPeeringMulti(cur, e.nexts, dist)
+		a := in.ASes[cur-1]
+		nextAS, egress, nextIngress, err := in.pickPeeringMulti(a, routes.ties(s), dist)
 		if err != nil {
 			return netsim.Path{}, err
 		}
-		seg, err := reconstruct(prev, ingress, egress)
+		nodes, err = reconstruct(nodes, a, prev, ingress, egress)
 		if err != nil {
 			return netsim.Path{}, fmt.Errorf("topology: inside AS%d: %w", cur, err)
 		}
-		nodes = append(nodes, seg[1:]...)
 		nodes = append(nodes, nextIngress)
 		ingress = nextIngress
 		cur = nextAS
@@ -60,14 +61,14 @@ func (in *Internet) RouterPath(from, to Host) (netsim.Path, error) {
 		if err != nil {
 			return netsim.Path{}, err
 		}
-		if math.IsInf(dist[to.Access], 1) {
+		a := in.ASes[to.ASN-1]
+		if i := slices.Index(a.Routers, to.Access); i >= 0 && math.IsInf(dist[i], 1) {
 			return netsim.Path{}, fmt.Errorf("topology: AS%d backbone cannot reach egress", to.ASN)
 		}
-		seg, err := reconstruct(prev, ingress, to.Access)
+		nodes, err = reconstruct(nodes, a, prev, ingress, to.Access)
 		if err != nil {
 			return netsim.Path{}, fmt.Errorf("topology: inside AS%d: %w", to.ASN, err)
 		}
-		nodes = append(nodes, seg[1:]...)
 	}
 	nodes = append(nodes, to.Node)
 	return netsim.Path{Nodes: dedupeConsecutive(nodes)}, nil
@@ -75,23 +76,27 @@ func (in *Internet) RouterPath(from, to Host) (netsim.Path, error) {
 
 // pickPeeringMulti returns the (next AS, egress router, ingress router)
 // choice minimizing intra-AS delay from the current ingress (dist is the
-// Dijkstra result from it), across every peering point toward every tied
-// next-hop AS. Ties break deterministically on (ASN, egress, ingress).
-func (in *Internet) pickPeeringMulti(curAS int, candidates []int, dist map[netsim.NodeID]float64) (int, netsim.NodeID, netsim.NodeID, error) {
+// Dijkstra result from it, by router position in cur.Routers), across
+// every peering point toward every tied next-hop AS. Ties break
+// deterministically on (ASN, egress, ingress).
+func (in *Internet) pickPeeringMulti(cur *AS, candidates []int32, dist []float64) (int, netsim.NodeID, netsim.NodeID, error) {
+	curAS := cur.ASN
 	bestAS := -1
 	var bestEg, bestIn netsim.NodeID
 	bestDist := math.Inf(1)
-	for _, nextAS := range candidates {
+	for _, c := range candidates {
+		nextAS := int(c)
 		for _, p := range in.peerings[asPair(curAS, nextAS)] {
 			// peeringPoint.a belongs to the lower-ASN side.
 			eg, ig := p.a, p.b
 			if curAS > nextAS {
 				eg, ig = p.b, p.a
 			}
-			d, ok := dist[eg]
-			if !ok {
+			i := slices.Index(cur.Routers, eg)
+			if i < 0 {
 				continue
 			}
+			d := dist[i]
 			if d < bestDist ||
 				(d == bestDist && (nextAS < bestAS ||
 					(nextAS == bestAS && (eg < bestEg || (eg == bestEg && ig < bestIn))))) {
@@ -106,79 +111,77 @@ func (in *Internet) pickPeeringMulti(curAS int, candidates []int, dist map[netsi
 }
 
 // intraASDijkstra computes shortest-delay distances from src over the AS's
-// internal backbone (links whose endpoints both belong to the AS).
-func (in *Internet) intraASDijkstra(asn int, src netsim.NodeID) (map[netsim.NodeID]float64, map[netsim.NodeID]netsim.NodeID, error) {
+// internal backbone (links whose endpoints both belong to the AS). dist[i]
+// and prev[i] describe the router a.Routers[i]: prev holds the position of
+// its predecessor, -1 for src and for routers src cannot reach.
+func (in *Internet) intraASDijkstra(asn int, src netsim.NodeID) ([]float64, []int, error) {
 	a, err := in.AS(asn)
 	if err != nil {
 		return nil, nil, err
 	}
-	dist := make(map[netsim.NodeID]float64, len(a.Routers))
-	prev := make(map[netsim.NodeID]netsim.NodeID, len(a.Routers))
-	for _, r := range a.Routers {
-		dist[r] = math.Inf(1)
-	}
-	if _, ok := dist[src]; !ok {
+	s := slices.Index(a.Routers, src)
+	if s < 0 {
 		return nil, nil, fmt.Errorf("topology: router %d not in AS%d", src, asn)
 	}
-	dist[src] = 0
+	dist := make([]float64, len(a.Routers))
+	prev := make([]int, len(a.Routers))
+	visited := make([]bool, len(a.Routers))
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prev[i] = -1
+	}
+	dist[s] = 0
 	// The backbones are tiny (<= ~12 routers); a simple O(V^2) scan is
 	// clearer than a heap and plenty fast.
-	visited := make(map[netsim.NodeID]bool, len(a.Routers))
 	for range a.Routers {
-		cur, curDist := netsim.NodeID(-1), math.Inf(1)
-		for _, r := range a.Routers {
-			if !visited[r] && dist[r] < curDist {
-				cur, curDist = r, dist[r]
+		cur, curDist := -1, math.Inf(1)
+		for i, d := range dist {
+			if !visited[i] && d < curDist {
+				cur, curDist = i, d
 			}
 		}
 		if cur < 0 {
 			break
 		}
 		visited[cur] = true
-		for _, nb := range in.Net.Neighbors(cur) {
-			if _, inAS := dist[nb]; !inAS {
+		r := a.Routers[cur]
+		for _, nb := range in.Net.Neighbors(r) {
+			j := slices.Index(a.Routers, nb)
+			if j < 0 {
 				continue
 			}
-			l, ok := in.Net.Link(cur, nb)
+			l, ok := in.Net.Link(r, nb)
 			if !ok {
 				continue
 			}
-			if d := curDist + l.Delay.Seconds(); d < dist[nb] {
-				dist[nb] = d
-				prev[nb] = cur
+			if d := curDist + l.Delay.Seconds(); d < dist[j] {
+				dist[j] = d
+				prev[j] = cur
 			}
 		}
 	}
 	return dist, prev, nil
 }
 
-// reconstruct walks the Dijkstra predecessor map from dst back to src.
-func reconstruct(prev map[netsim.NodeID]netsim.NodeID, src, dst netsim.NodeID) ([]netsim.NodeID, error) {
-	if src == dst {
-		return []netsim.NodeID{src}, nil
-	}
-	var rev []netsim.NodeID
-	cur := dst
-	for cur != src {
-		rev = append(rev, cur)
-		p, ok := prev[cur]
-		if !ok {
+// reconstruct appends to nodes the routers after src on the shortest path
+// from router src to router dst inside AS a, walking the Dijkstra
+// predecessors (by router position, as intraASDijkstra returns them) back
+// from dst. A router outside the AS is unreachable.
+func reconstruct(nodes []netsim.NodeID, a *AS, prev []int, src, dst netsim.NodeID) ([]netsim.NodeID, error) {
+	start := len(nodes)
+	i := slices.Index(a.Routers, dst)
+	for cur := dst; cur != src; cur = a.Routers[i] {
+		if i < 0 || prev[i] < 0 {
 			return nil, fmt.Errorf("topology: node %d unreachable from %d", dst, src)
 		}
-		cur = p
-		if len(rev) > len(prev)+1 {
-			return nil, fmt.Errorf("topology: predecessor loop at node %d", cur)
+		nodes = append(nodes, cur)
+		i = prev[i]
+		if len(nodes)-start > len(prev) {
+			return nil, fmt.Errorf("topology: predecessor loop at node %d", a.Routers[i])
 		}
 	}
-	rev = append(rev, src)
-	sortReverse(rev)
-	return rev, nil
-}
-
-func sortReverse(s []netsim.NodeID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
+	slices.Reverse(nodes[start:])
+	return nodes, nil
 }
 
 func dedupeConsecutive(nodes []netsim.NodeID) []netsim.NodeID {

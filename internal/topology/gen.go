@@ -145,10 +145,12 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Internet is a generated topology: the node/link graph plus the AS-level
-// structure and host inventory needed for routing and experiments.
+// structure and host inventory needed for routing and experiments. Route
+// lookups build each destination's route table on first use, so an
+// Internet is not safe for concurrent use.
 type Internet struct {
 	Net *netsim.Network
-	// ASes is indexed by ASN.
+	// ASes lists the ASes in ASN order: ASes[i] has ASN i+1.
 	ASes []*AS
 	// CloudASN is the cloud provider's ASN.
 	CloudASN int
@@ -162,8 +164,9 @@ type Internet struct {
 
 	cfg      Config
 	peerings map[asPairKey][]peeringPoint
-	routes   map[int]map[int]routeEntry // dest ASN -> src ASN -> entry
-	asIndex  map[int]*AS
+	// routes[dst-1] is the BGP route table toward AS dst, built on first
+	// use (a nil slots means not yet built).
+	routes []routeTable
 	// dist is the build's catalog distance table. Generate makes it
 	// first and drops it when the build is done.
 	dist *distTable
@@ -174,11 +177,10 @@ func (in *Internet) Config() Config { return in.cfg }
 
 // AS returns the AS with the given ASN.
 func (in *Internet) AS(asn int) (*AS, error) {
-	a, ok := in.asIndex[asn]
-	if !ok {
+	if asn < 1 || asn > len(in.ASes) {
 		return nil, fmt.Errorf("topology: no AS %d", asn)
 	}
-	return a, nil
+	return in.ASes[asn-1], nil
 }
 
 // Generate builds an Internet from the configuration.
@@ -196,8 +198,6 @@ func Generate(cfg Config) (*Internet, error) {
 		DCs:      make(map[string]Host),
 		cfg:      cfg,
 		peerings: make(map[asPairKey][]peeringPoint),
-		routes:   make(map[int]map[int]routeEntry),
-		asIndex:  make(map[int]*AS),
 	}
 	catalog := geo.Catalog()
 	in.dist = newDistTable(catalog)
@@ -377,13 +377,15 @@ func Generate(cfg Config) (*Internet, error) {
 		in.Servers = append(in.Servers, h)
 	}
 	in.dist = nil
+	in.routes = make([]routeTable, len(in.ASes))
 	return in, nil
 }
 
+// newAS numbers ASes 1, 2, ... in creation order, so AS asn is
+// in.ASes[asn-1].
 func (in *Internet) newAS(name string, tier Tier) *AS {
 	a := &AS{ASN: len(in.ASes) + 1, Name: name, Tier: tier}
 	in.ASes = append(in.ASes, a)
-	in.asIndex[a.ASN] = a
 	return a
 }
 
@@ -695,7 +697,7 @@ func (in *Internet) byTier(t Tier) []*AS {
 }
 
 func (in *Internet) cloudSharesContinent(a *AS) bool {
-	cloud := in.asIndex[in.CloudASN]
+	cloud := in.ASes[in.CloudASN-1]
 	for _, cp := range cloud.Presence {
 		for _, p := range a.Presence {
 			if cp.Continent == p.Continent {

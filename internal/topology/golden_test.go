@@ -143,3 +143,79 @@ func (d *digester) str(s string) {
 	d.i64(int64(len(s)))
 	d.h.Write([]byte(s))
 }
+
+// TestRoutesGolden pins the routing of whole campaigns: every ordered AS
+// pair's default AS path and its valley-freedom, every server -> client
+// router path, and every server -> DC and DC -> client leg (the legs of
+// every OverlayRoute). It hashes public outputs only, so a change to how
+// routes are stored or computed must keep these digests.
+func TestRoutesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"DefaultConfig(42)", DefaultConfig(42), "c3f1253a8e1982b7"},
+		{"DefaultConfig(7)", DefaultConfig(7), "f11361ef3cdba10a"},
+		{"smallConfig(7)", smallConfig(7), "34f3137f679ebffb"},
+	} {
+		in, err := Generate(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := routesDigest(in); got != tc.want {
+			t.Errorf("%s: routes digest = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// routesDigest hashes the routing outputs of in, in a fixed order. A
+// failed lookup hashes its error text.
+func routesDigest(in *Internet) string {
+	d := digester{h: fnv.New64a()}
+	for _, src := range in.ASes {
+		for _, dst := range in.ASes {
+			path, err := in.ASPath(src.ASN, dst.ASN)
+			if err != nil {
+				d.str(err.Error())
+				continue
+			}
+			d.i64(int64(len(path)))
+			for _, asn := range path {
+				d.i64(int64(asn))
+			}
+			if in.IsValleyFree(path) {
+				d.i64(1)
+			} else {
+				d.i64(0)
+			}
+		}
+	}
+
+	routerPath := func(from, to Host) {
+		p, err := in.RouterPath(from, to)
+		if err != nil {
+			d.str(err.Error())
+			return
+		}
+		d.i64(int64(len(p.Nodes)))
+		for _, n := range p.Nodes {
+			d.i64(int64(n))
+		}
+	}
+	for _, s := range in.Servers {
+		for _, c := range in.Clients {
+			routerPath(s, c)
+		}
+	}
+	for _, city := range in.DCOrder {
+		dc := in.DCs[city]
+		for _, s := range in.Servers {
+			routerPath(s, dc)
+		}
+		for _, c := range in.Clients {
+			routerPath(dc, c)
+		}
+	}
+	return fmt.Sprintf("%016x", d.h.Sum64())
+}

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -96,8 +99,9 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	a := generate(t, 1)
 	b := generate(t, 2)
 	// Link parameters should differ even if counts happen to match.
-	la := a.Net.Links()
-	lb := b.Net.Links()
+	// Links() walks a map, so sort both lists to pair link i with link i.
+	la := sortedLinks(a.Net)
+	lb := sortedLinks(b.Net)
 	if len(la) == len(lb) {
 		same := true
 		for i := range la {
@@ -110,6 +114,18 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 			t.Error("different seeds produced identical link parameters")
 		}
 	}
+}
+
+// sortedLinks returns the network's links ordered by (A, B).
+func sortedLinks(n *netsim.Network) []*netsim.Link {
+	links := n.Links()
+	slices.SortFunc(links, func(x, y *netsim.Link) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.B, y.B)
+	})
+	return links
 }
 
 // TestAllPairsRouted: every (server, client) and (DC, client) pair must
@@ -288,9 +304,8 @@ func TestCloudBackboneConnectedAndClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range cloud.Routers {
-		d, ok := dist[r]
-		if !ok || d > 1 { // seconds; any finite backbone path is far below this
+	for i, r := range cloud.Routers {
+		if d := dist[i]; d > 1 { // seconds; any finite backbone path is far below this
 			t.Errorf("DC router %d unreachable over the backbone", r)
 		}
 	}
@@ -346,11 +361,27 @@ func TestIntraASConnected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dijkstra in %s: %v", a.Name, err)
 		}
-		for _, r := range a.Routers {
-			if d, ok := dist[r]; !ok || d < 0 || d > 1e9 {
+		for i, r := range a.Routers {
+			if d := dist[i]; d < 0 || d > 1e9 {
 				t.Fatalf("router %d unreachable inside %s", r, a.Name)
 			}
 		}
+	}
+}
+
+// TestRouterPathAccessOutsideAS: a host whose access router belongs to
+// another AS cannot be reached over its own AS's backbone; the intra-AS
+// walk reports that router unreachable.
+func TestRouterPathAccessOutsideAS(t *testing.T) {
+	in := generate(t, 42)
+	src, dst := in.Servers[0], in.Clients[0]
+	stubRouter := dst.Access // the stub AS's only router, where the path enters
+	dst.Access = in.Clients[1].Access
+	_, err := in.RouterPath(src, dst)
+	want := fmt.Sprintf("topology: inside AS%d: topology: node %d unreachable from %d",
+		dst.ASN, dst.Access, stubRouter)
+	if err == nil || err.Error() != want {
+		t.Errorf("RouterPath error = %v, want %q", err, want)
 	}
 }
 

@@ -130,12 +130,17 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	_ = probeConn.Close()
 
-	// Multipath traffic over two in-process subflows, same registry.
+	// Multipath traffic over two in-process subflows, same registry. The
+	// payload is 8 segments, one subflow's whole inflight cap, so a writer
+	// scheduled first could carry it all; each subflow's first write waits
+	// at a barrier until the other's has started, so both carry traffic.
 	const mpBytes = 256 << 10
 	var senderConns, receiverConns []net.Conn
+	var firstWrites sync.WaitGroup
+	firstWrites.Add(2)
 	for i := 0; i < 2; i++ {
 		a, b := net.Pipe()
-		senderConns = append(senderConns, a)
+		senderConns = append(senderConns, &barrierConn{Conn: a, barrier: &firstWrites})
 		receiverConns = append(receiverConns, b)
 	}
 	mpCfg := multipath.Config{Obs: reg}
@@ -167,11 +172,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("multipath received %d bytes, want %d", received, mpBytes)
 	}
 
-	// The relay handler goroutines count bytes after the client closes;
-	// wait until the counters settle.
+	// The relay handler goroutines count bytes after the client closes,
+	// and netem counts a chunk only once it has written it to the relay;
+	// wait until both counters settle.
+	shapedUp := reg.Counter(obs.Label("cronets_netem_shaped_bytes_total", "dir", "up"), "")
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) &&
-		r.Stats().BytesUp.Load() < uploadBytes {
+		(r.Stats().BytesUp.Load() < uploadBytes || shapedUp.Value() < uploadBytes) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
@@ -231,6 +238,22 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if connects != 2 || dials != 2 {
 		t.Errorf("event ring: connects=%d dials=%d, want 2/2", connects, dials)
 	}
+}
+
+// barrierConn holds its first Write until every conn sharing the barrier
+// has reached its own first Write.
+type barrierConn struct {
+	net.Conn
+	barrier *sync.WaitGroup
+	once    sync.Once
+}
+
+func (c *barrierConn) Write(p []byte) (int, error) {
+	c.once.Do(func() {
+		c.barrier.Done()
+		c.barrier.Wait()
+	})
+	return c.Conn.Write(p)
 }
 
 // TestMetricsEndpointsServeTogether wires the same handlers cronetsd
