@@ -30,10 +30,12 @@
 #                     and sim_reallife's pinned seed-42 result digest
 #   make race-repeat  the listener-lifecycle packages (pipe.Server and the
 #                     relay, gateway, netem and measure servers on it, plus
-#                     connpool and chain) and the wire-codec packages (obs,
-#                     flowtrace, tunnel, multipath) five times over under
-#                     -race, so a flaky close or accept race shows up as a
-#                     failure
+#                     connpool and chain), the control plane (pathmon's
+#                     per-route probe goroutines, Close and Subscribe) and
+#                     cronetsd's in-process roles, and the wire-codec
+#                     packages (obs, flowtrace, tunnel, multipath) five
+#                     times over under -race, so a flaky close or accept
+#                     race shows up as a failure
 #   make fuzz-smoke   a few seconds of native Go fuzzing on each wire
 #                     parser that reads bytes from the network (the relay's
 #                     CONNECT line, tunnel frames and packets, multipath
@@ -59,6 +61,7 @@ race:
 race-repeat:
 	$(GO) test -race -count=5 ./internal/pipe/ ./internal/relay/ ./internal/gateway/ \
 		./internal/netem/ ./internal/measure/ ./internal/connpool/ ./internal/chain/ \
+		./internal/pathmon/ ./cmd/cronetsd/ \
 		./internal/obs/ ./internal/flowtrace/ ./internal/tunnel/ ./internal/multipath/
 
 vet:

@@ -143,14 +143,12 @@ func TestChainFailoverEndToEnd(t *testing.T) {
 
 	tracer := flowtrace.New(flowtrace.Config{Node: "client", SampleRate: 1, Obs: reg})
 	gw, err := gateway.New(gateway.Config{
-		Dest:             destAddr,
-		DirectAddr:       netemDLn.Addr().String(),
-		Monitor:          mon,
-		Obs:              reg,
-		Tracer:           tracer,
-		PoolSize:         1,
-		PoolRelays:       2,
-		PoolFillInterval: 100 * time.Millisecond,
+		Dest:       destAddr,
+		DirectAddr: netemDLn.Addr().String(),
+		Monitor:    mon,
+		Obs:        reg,
+		Tracer:     tracer,
+		PoolSize:   1,
 	})
 	if err != nil {
 		t.Fatal(err)

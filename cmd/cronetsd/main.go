@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -54,115 +55,127 @@ import (
 	"cronets/internal/relay"
 )
 
-// options collects every flag; one struct instead of a dozen positional
-// parameters.
-type options struct {
+// node is one cronetsd invocation: the settings the command reads itself,
+// and the Config of each component it starts, with each flag bound
+// straight to the field it sets.
+type node struct {
 	listen      string
-	target      string
-	idle        time.Duration
-	maxConn     int
-	bufKB       int
-	allow       string
+	gatewayAddr string
 	metricsAddr string
 	statsEvery  time.Duration
-	dialRetries int
-	dialBackoff time.Duration
 	traceRate   float64
 
-	// Gateway-mode flags.
-	gatewayAddr   string
-	fleet         string
-	probeInterval time.Duration
-	probeTarget   string
-	objective     string
-	burstDuration time.Duration
-	burstEvery    int
-	switchMargin  float64
-	switchRounds  int
-	poolSize      int
-	poolIdleTTL   time.Duration
-	poolRelays    int
-	maxHops       int
-	chainCands    int
+	relay relay.Config
+	mon   pathmon.Config
+	gw    gateway.Config
+}
+
+// parseFlags reads the command line into a node. -target, -idle-timeout
+// and -buffer-kb serve both roles, so the gateway's Config copies them
+// from the relay's after parsing.
+func parseFlags(args []string) (*node, error) {
+	n := &node{}
+	fs := flag.NewFlagSet("cronetsd", flag.ContinueOnError)
+	fs.StringVar(&n.listen, "listen", ":9000", "relay address to listen on")
+	fs.StringVar(&n.relay.Target, "target", "", "fixed forward target (relay: empty = CONNECT mode; gateway: the fronted destination, required)")
+	fs.DurationVar(&n.relay.IdleTimeout, "idle-timeout", 5*time.Minute, "idle connection timeout, relay or gateway (negative disables)")
+	fs.IntVar(&n.relay.MaxConns, "max-conns", 1024, "maximum concurrent relayed connections")
+	bufKB := fs.Int("buffer-kb", 256, "largest copy buffer per direction in KiB, relay or gateway (each direction starts at 4 KiB and grows to this on its first full read)")
+	fs.Func("allow", "comma-separated CIDRs CONNECT targets must fall in (empty = open relay)", func(s string) (err error) {
+		if s != "" {
+			n.relay.ACL, err = relay.NewACL(strings.Split(s, ","), nil)
+		}
+		return err
+	})
+	fs.StringVar(&n.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /healthz on this address (empty = disabled)")
+	fs.DurationVar(&n.statsEvery, "stats-interval", 30*time.Second, "period of the stats summary log line (0 = disabled)")
+	fs.IntVar(&n.relay.DialRetries, "dial-retries", 2, "upstream dial retries on transient errors (refused/timeout)")
+	fs.DurationVar(&n.relay.DialRetryBackoff, "dial-retry-backoff", 50*time.Millisecond, "initial backoff between upstream dial retries (doubles per attempt)")
+	fs.Float64Var(&n.traceRate, "trace-sample-rate", 0, "fraction of flows to trace through internal/flowtrace (0 = tracing off, 1 = every flow)")
+	fs.StringVar(&n.gatewayAddr, "gateway-addr", "", "run as a client gateway listening on this address (empty = relay mode)")
+	fs.Func("fleet", "comma-separated relay CONNECT endpoints the gateway's monitor probes", func(s string) error {
+		n.mon.Fleet = nil
+		for _, f := range strings.Split(s, ",") {
+			if f = strings.TrimSpace(f); f != "" {
+				n.mon.Fleet = append(n.mon.Fleet, f)
+			}
+		}
+		return nil
+	})
+	fs.DurationVar(&n.mon.Interval, "probe-interval", 5*time.Second, "gateway path-probe round period")
+	fs.StringVar(&n.mon.Dest, "probe-target", "", "destination probe endpoint, a measure server (default: -target)")
+	fs.Func("objective", "route-ranking objective: latency (the default), throughput (needs -burst-duration > 0), or composite (ranks by latency until bursts measure throughput)", func(s string) (err error) {
+		n.mon.Objective, err = pathmon.ParseObjective(s)
+		return err
+	})
+	fs.DurationVar(&n.mon.BurstDuration, "burst-duration", 0, "throughput-burst measurement window per route (0 = bursts off)")
+	fs.IntVar(&n.mon.BurstEvery, "burst-every", 1, "rounds between one route's throughput bursts")
+	fs.Float64Var(&n.mon.SwitchMargin, "switch-margin", 0.1, "fraction a challenger path must beat the incumbent by")
+	fs.IntVar(&n.mon.SwitchRounds, "switch-rounds", 3, "consecutive qualifying rounds before a path switch")
+	fs.IntVar(&n.gw.PoolSize, "pool-size", 0, "pre-warmed relay connections per relay the gateway keeps (0 = pooling off)")
+	fs.IntVar(&n.mon.MaxHops, "max-hops", 1, "maximum relay hops per overlay route (values >= 2 enumerate multi-hop chain candidates up to that depth)")
+	fs.IntVar(&n.mon.ChainCandidates, "chain-candidates", 3, "top-ranked single-hop relays combined into chain candidates when -max-hops > 1")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	n.relay.BufferBytes = *bufKB << 10
+	n.gw.Dest = n.relay.Target
+	n.gw.IdleTimeout = n.relay.IdleTimeout
+	n.gw.BufferBytes = n.relay.BufferBytes
+	if n.mon.Dest == "" {
+		n.mon.Dest = n.relay.Target
+	}
+	return n, nil
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.listen, "listen", ":9000", "relay address to listen on")
-	flag.StringVar(&o.target, "target", "", "fixed forward target (relay: empty = CONNECT mode; gateway: the fronted destination, required)")
-	flag.DurationVar(&o.idle, "idle-timeout", 5*time.Minute, "idle connection timeout")
-	flag.IntVar(&o.maxConn, "max-conns", 1024, "maximum concurrent relayed connections")
-	flag.IntVar(&o.bufKB, "buffer-kb", 256, "largest copy buffer per direction in KiB, relay or gateway (each direction starts at 4 KiB and grows to this on its first full read)")
-	flag.StringVar(&o.allow, "allow", "", "comma-separated CIDRs CONNECT targets must fall in (empty = open relay)")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /healthz on this address (empty = disabled)")
-	flag.DurationVar(&o.statsEvery, "stats-interval", 30*time.Second, "period of the stats summary log line (0 = disabled)")
-	flag.IntVar(&o.dialRetries, "dial-retries", 2, "upstream dial retries on transient errors (refused/timeout)")
-	flag.DurationVar(&o.dialBackoff, "dial-retry-backoff", 50*time.Millisecond, "initial backoff between upstream dial retries (doubles per attempt)")
-	flag.Float64Var(&o.traceRate, "trace-sample-rate", 0, "fraction of flows to trace through internal/flowtrace (0 = tracing off, 1 = every flow)")
-	flag.StringVar(&o.gatewayAddr, "gateway-addr", "", "run as a client gateway listening on this address (empty = relay mode)")
-	flag.StringVar(&o.fleet, "fleet", "", "comma-separated relay CONNECT endpoints the gateway's monitor probes")
-	flag.DurationVar(&o.probeInterval, "probe-interval", 5*time.Second, "gateway path-probe round period")
-	flag.StringVar(&o.probeTarget, "probe-target", "", "destination probe endpoint, a measure server (default: -target)")
-	flag.StringVar(&o.objective, "objective", "latency", "route-ranking objective: latency, throughput, or composite (throughput/composite need -burst-duration > 0)")
-	flag.DurationVar(&o.burstDuration, "burst-duration", 0, "throughput-burst measurement window per route (0 = bursts off)")
-	flag.IntVar(&o.burstEvery, "burst-every", 1, "rounds between one route's throughput bursts")
-	flag.Float64Var(&o.switchMargin, "switch-margin", 0.1, "fraction a challenger path must beat the incumbent by")
-	flag.IntVar(&o.switchRounds, "switch-rounds", 3, "consecutive qualifying rounds before a path switch")
-	flag.IntVar(&o.poolSize, "pool-size", 0, "pre-warmed relay connections per relay the gateway keeps (0 = pooling off)")
-	flag.DurationVar(&o.poolIdleTTL, "pool-idle-ttl", time.Minute, "retire warm relay connections idle longer than this")
-	flag.IntVar(&o.poolRelays, "pool-relays", 2, "number of top-ranked relays the gateway keeps warm")
-	flag.IntVar(&o.maxHops, "max-hops", 1, "maximum relay hops per overlay route (values >= 2 enumerate multi-hop chain candidates up to that depth)")
-	flag.IntVar(&o.chainCands, "chain-candidates", 3, "top-ranked single-hop relays combined into chain candidates when -max-hops > 1")
-	flag.Parse()
-
-	var err error
-	if o.gatewayAddr != "" {
-		err = runGateway(o)
-	} else {
-		err = runRelay(o)
+	n, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
 	if err != nil {
+		os.Exit(2) // the flag set has printed the error and usage
+	}
+	stop := make(chan struct{})
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		s := <-sig
+		slog.Info("cronetsd shutting down", "signal", s.String())
+		close(stop)
+	}()
+	if err := n.run(stop); err != nil {
 		fmt.Fprintln(os.Stderr, "cronetsd:", err)
 		os.Exit(1)
 	}
 }
 
-func runRelay(o options) error {
-	var acl *relay.ACL
-	if o.allow != "" {
-		var err error
-		acl, err = relay.NewACL(strings.Split(o.allow, ","), nil)
-		if err != nil {
-			return err
-		}
+// run serves the node's role until stop closes.
+func (n *node) run(stop <-chan struct{}) error {
+	if n.gatewayAddr != "" {
+		return n.runGateway(stop)
 	}
+	return n.runRelay(stop)
+}
+
+func (n *node) runRelay(stop <-chan struct{}) error {
 	reg := obs.NewRegistry()
 	pipe.InstrumentPool(reg)
-	tracer := newTracer(o, "relay", reg)
-	ln, err := net.Listen("tcp", o.listen)
+	n.relay.Obs = reg
+	n.relay.Tracer = n.newTracer("relay", reg)
+	ln, err := net.Listen("tcp", n.listen)
 	if err != nil {
-		return fmt.Errorf("listen %s: %w", o.listen, err)
+		return fmt.Errorf("listen %s: %w", n.listen, err)
 	}
-	r := relay.New(ln, relay.Config{
-		Target:      o.target,
-		IdleTimeout: o.idle,
-		MaxConns:    o.maxConn,
-		BufferBytes: o.bufKB << 10,
-		ACL:         acl,
-		Obs:         reg,
-		Tracer:      tracer,
-
-		DialRetries:      o.dialRetries,
-		DialRetryBackoff: o.dialBackoff,
-	})
+	r := relay.New(ln, n.relay)
 	mode := "split proxy (CONNECT mode)"
-	if o.target != "" {
-		mode = "forwarder -> " + o.target
+	if n.relay.Target != "" {
+		mode = "forwarder -> " + n.relay.Target
 	}
 	slog.Info("cronetsd listening", "addr", r.Addr().String(), "mode", mode)
 
-	if o.metricsAddr != "" {
-		msrv, err := serveMetrics(o.metricsAddr, reg, tracer, nil)
+	if n.metricsAddr != "" {
+		msrv, err := serveMetrics(n.metricsAddr, reg, n.relay.Tracer, nil)
 		if err != nil {
 			_ = r.Close()
 			return err
@@ -171,110 +184,47 @@ func runRelay(o options) error {
 		slog.Info("metrics listening", "addr", msrv.addr,
 			"endpoints", "/metrics /metrics.json /debug/vars /debug/events /debug/traces /debug/pprof /healthz")
 	}
-
-	stopSummary := make(chan struct{})
-	if o.statsEvery > 0 {
-		go func() {
-			t := time.NewTicker(o.statsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					logRelayStats(r, "stats")
-				case <-stopSummary:
-					return
-				}
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- r.Serve() }()
-
-	select {
-	case s := <-sig:
-		close(stopSummary)
-		slog.Info("cronetsd shutting down", "signal", s.String())
-		logRelayStats(r, "final stats")
-		return r.Close()
-	case err := <-done:
-		close(stopSummary)
-		return err
-	}
+	return serveUntil(stop, n.statsEvery, r.Serve, r.Close,
+		func(msg string) { logRelayStats(r, msg) })
 }
 
 // runGateway runs the client-side control plane: pathmon probing the
 // fleet plus a gateway listener fronting the destination.
-func runGateway(o options) error {
-	if o.target == "" {
+func (n *node) runGateway(stop <-chan struct{}) error {
+	if n.gw.Dest == "" {
 		return fmt.Errorf("gateway mode requires -target (the fronted destination)")
-	}
-	probeTarget := o.probeTarget
-	if probeTarget == "" {
-		probeTarget = o.target
-	}
-	var fleet []string
-	if o.fleet != "" {
-		for _, f := range strings.Split(o.fleet, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				fleet = append(fleet, f)
-			}
-		}
-	}
-	objective, err := pathmon.ParseObjective(o.objective)
-	if err != nil {
-		return err
 	}
 	reg := obs.NewRegistry()
 	pipe.InstrumentPool(reg)
-	tracer := newTracer(o, "gateway", reg)
+	tracer := n.newTracer("gateway", reg)
 
-	mon, err := pathmon.New(pathmon.Config{
-		Dest:            probeTarget,
-		Fleet:           fleet,
-		Interval:        o.probeInterval,
-		Objective:       objective,
-		BurstDuration:   o.burstDuration,
-		BurstEvery:      o.burstEvery,
-		SwitchMargin:    o.switchMargin,
-		SwitchRounds:    o.switchRounds,
-		MaxHops:         o.maxHops,
-		ChainCandidates: o.chainCands,
-		Obs:             reg,
-	})
+	n.mon.Obs = reg
+	mon, err := pathmon.New(n.mon)
 	if err != nil {
 		return err
 	}
 	defer mon.Close()
 	mon.Start()
 
-	gw, err := gateway.New(gateway.Config{
-		Dest:        o.target,
-		Monitor:     mon,
-		IdleTimeout: o.idle,
-		BufferBytes: o.bufKB << 10,
-		Obs:         reg,
-		Tracer:      tracer,
-		PoolSize:    o.poolSize,
-		PoolIdleTTL: o.poolIdleTTL,
-		PoolRelays:  o.poolRelays,
-	})
+	n.gw.Monitor = mon
+	n.gw.Obs = reg
+	n.gw.Tracer = tracer
+	gw, err := gateway.New(n.gw)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.gatewayAddr)
+	ln, err := net.Listen("tcp", n.gatewayAddr)
 	if err != nil {
-		return fmt.Errorf("gateway listen %s: %w", o.gatewayAddr, err)
+		_ = gw.Close()
+		return fmt.Errorf("gateway listen %s: %w", n.gatewayAddr, err)
 	}
 	slog.Info("cronetsd gateway listening", "addr", ln.Addr().String(),
-		"dest", o.target, "probe_target", probeTarget,
-		"fleet", strings.Join(fleet, ","), "probe_interval", o.probeInterval.String(),
-		"objective", objective.String())
+		"dest", n.gw.Dest, "probe_target", n.mon.Dest,
+		"fleet", strings.Join(n.mon.Fleet, ","), "probe_interval", n.mon.Interval.String(),
+		"objective", n.mon.Objective.String())
 
-	if o.metricsAddr != "" {
-		msrv, err := serveMetrics(o.metricsAddr, reg, tracer, mon)
+	if n.metricsAddr != "" {
+		msrv, err := serveMetrics(n.metricsAddr, reg, tracer, mon)
 		if err != nil {
 			_ = gw.Close()
 			_ = ln.Close()
@@ -284,37 +234,33 @@ func runGateway(o options) error {
 		slog.Info("metrics listening", "addr", msrv.addr,
 			"endpoints", "/metrics /metrics.json /debug/vars /debug/events /debug/traces /debug/paths /debug/pprof /healthz")
 	}
+	return serveUntil(stop, n.statsEvery, func() error { return gw.Serve(ln) }, gw.Close,
+		func(msg string) { logGatewayStats(gw, mon, msg) })
+}
 
-	stopSummary := make(chan struct{})
-	if o.statsEvery > 0 {
-		go func() {
-			t := time.NewTicker(o.statsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					logGatewayStats(gw, mon, "stats")
-				case <-stopSummary:
-					return
-				}
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+// serveUntil is both roles' lifecycle: it runs serve, logs a "stats"
+// line through logStats every statsEvery (0 disables them), and returns
+// serve's error if serve stops first. When stop closes first it logs the
+// "final stats" line and returns closeFn's error.
+func serveUntil(stop <-chan struct{}, statsEvery time.Duration, serve, closeFn func() error, logStats func(msg string)) error {
 	done := make(chan error, 1)
-	go func() { done <- gw.Serve(ln) }()
-
-	select {
-	case s := <-sig:
-		close(stopSummary)
-		slog.Info("cronetsd shutting down", "signal", s.String())
-		logGatewayStats(gw, mon, "final stats")
-		return gw.Close()
-	case err := <-done:
-		close(stopSummary)
-		return err
+	go func() { done <- serve() }()
+	var tick <-chan time.Time
+	if statsEvery > 0 {
+		t := time.NewTicker(statsEvery)
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		select {
+		case <-tick:
+			logStats("stats")
+		case <-stop:
+			logStats("final stats")
+			return closeFn()
+		case err := <-done:
+			return err
+		}
 	}
 }
 
@@ -359,13 +305,13 @@ func logGatewayStats(gw *gateway.Gateway, mon *pathmon.Monitor, msg string) {
 
 // newTracer builds the node's flow tracer, or nil when tracing is off
 // (every instrumented component treats a nil tracer as a no-op).
-func newTracer(o options, node string, reg *obs.Registry) *flowtrace.Tracer {
-	if o.traceRate <= 0 {
+func (n *node) newTracer(name string, reg *obs.Registry) *flowtrace.Tracer {
+	if n.traceRate <= 0 {
 		return nil
 	}
 	return flowtrace.New(flowtrace.Config{
-		Node:       node,
-		SampleRate: o.traceRate,
+		Node:       name,
+		SampleRate: n.traceRate,
 		Obs:        reg,
 	})
 }

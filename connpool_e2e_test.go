@@ -80,12 +80,11 @@ func TestWarmPoolEndToEnd(t *testing.T) {
 
 	dialer := &handshakeDelayDialer{delay: handshakeRTT}
 	gwPooled, err := gateway.New(gateway.Config{
-		Dest:             destAddr,
-		Monitor:          mon,
-		Dialer:           dialer,
-		PoolSize:         2,
-		PoolFillInterval: 50 * time.Millisecond,
-		Obs:              reg,
+		Dest:     destAddr,
+		Monitor:  mon,
+		Dialer:   dialer,
+		PoolSize: 2,
+		Obs:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,11 +85,10 @@ func TestFailoverEndToEnd(t *testing.T) {
 	}
 
 	mpCfg := multipath.Config{
-		MaxSegBytes:      4 << 10,
-		ChannelID:        42,
-		ReconnectBackoff: 5 * time.Millisecond,
-		Dialer:           dialPath,
-		Obs:              reg,
+		MaxSegBytes: 4 << 10,
+		ChannelID:   42,
+		Dialer:      dialPath,
+		Obs:         reg,
 	}
 	receiver, err := multipath.NewReceiver(receiverConns, mpCfg)
 	if err != nil {

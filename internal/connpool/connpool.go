@@ -42,6 +42,15 @@ type Ranker interface {
 	Subscribe() (<-chan struct{}, func())
 }
 
+const (
+	// fillInterval is the background filler period: the TTL-expiry and
+	// re-warm cadence between ranking wakeups.
+	fillInterval = time.Second
+	// warmDialTimeout bounds each warm dial, as the gateway bounds a
+	// cold one.
+	warmDialTimeout = 10 * time.Second
+)
+
 // Config parameterizes a Pool.
 type Config struct {
 	// SizePerRelay is the warm-connection target per warmed relay
@@ -60,11 +69,6 @@ type Config struct {
 	// under the relay fleet's pre-CONNECT tolerance (the relay side
 	// allows its IdleTimeout, 5 min by default).
 	IdleTTL time.Duration
-	// FillInterval is the background filler period — the TTL-expiry and
-	// re-warm cadence between ranking wakeups (default 1 s).
-	FillInterval time.Duration
-	// DialTimeout bounds each warm dial (default 5 s).
-	DialTimeout time.Duration
 	// Ranker supplies relay rankings (usually the *pathmon.Monitor);
 	// required.
 	Ranker Ranker
@@ -130,12 +134,6 @@ func newPool(cfg Config) *Pool {
 	}
 	if cfg.IdleTTL <= 0 {
 		cfg.IdleTTL = 60 * time.Second
-	}
-	if cfg.FillInterval <= 0 {
-		cfg.FillInterval = time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	if cfg.Dialer == nil {
 		cfg.Dialer = &net.Dialer{}
@@ -246,13 +244,13 @@ func (p *Pool) kick() {
 }
 
 // filler is the background warming loop: it re-fills on checkout kicks,
-// ranking-change wakeups, and a steady FillInterval tick (which also
+// ranking-change wakeups, and a steady fillInterval tick (which also
 // drives TTL expiry of untouched connections).
 func (p *Pool) filler() {
 	defer p.wg.Done()
 	rankc, unsub := p.cfg.Ranker.Subscribe()
 	defer unsub()
-	t := time.NewTicker(p.cfg.FillInterval)
+	t := time.NewTicker(fillInterval)
 	defer t.Stop()
 	p.Fill()
 	for {
@@ -335,9 +333,9 @@ func (p *Pool) Fill() {
 
 // warmDial opens one raw TCP connection to a relay (no preamble — the
 // CONNECT handshake happens at checkout, on the flow's behalf). Close
-// abandons it rather than waiting out DialTimeout.
+// abandons it rather than waiting out warmDialTimeout.
 func (p *Pool) warmDial(addr string) (net.Conn, error) {
-	ctx, cancel := context.WithTimeout(p.ctx, p.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(p.ctx, warmDialTimeout)
 	defer cancel()
 	return p.cfg.Dialer.DialContext(ctx, "tcp", addr)
 }

@@ -71,6 +71,7 @@ type fakeRanker struct {
 	chosen bool
 	table  []pathmon.RouteStatus
 	subs   []chan struct{}
+	reads  int // Ranked calls: one per Fill
 }
 
 func (f *fakeRanker) Best() (pathmon.Route, bool) {
@@ -82,7 +83,14 @@ func (f *fakeRanker) Best() (pathmon.Route, bool) {
 func (f *fakeRanker) Ranked() []pathmon.RouteStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.reads++
 	return append([]pathmon.RouteStatus(nil), f.table...)
+}
+
+func (f *fakeRanker) readCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.reads
 }
 
 func (f *fakeRanker) Subscribe() (<-chan struct{}, func()) {
@@ -156,8 +164,7 @@ func TestStaticWarmAndCheckout(t *testing.T) {
 
 func TestMissOnEmptyPool(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := New(Config{Ranker: bestRanker("127.0.0.1:1"), Obs: reg,
-		FillInterval: time.Hour, DialTimeout: 100 * time.Millisecond})
+	p := New(Config{Ranker: bestRanker("127.0.0.1:1"), Obs: reg})
 	defer p.Close()
 
 	if _, ok := p.Get("127.0.0.1:9"); ok {
@@ -180,7 +187,7 @@ func TestExpiryRetiresOldConns(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
 	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1,
-		IdleTTL: 50 * time.Millisecond, FillInterval: 10 * time.Millisecond, Obs: reg})
+		IdleTTL: 50 * time.Millisecond, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 1)
 
@@ -198,11 +205,14 @@ func TestExpiryRetiresOldConns(t *testing.T) {
 func TestExpiryAtCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	// FillInterval huge: only Get's own TTL check can retire the conn.
-	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1,
-		IdleTTL: 30 * time.Millisecond, FillInterval: time.Hour, Obs: reg})
+	// No background filler: only Get's own TTL check can retire the conn.
+	p := newPool(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1,
+		IdleTTL: 30 * time.Millisecond, Obs: reg})
 	defer p.Close()
-	waitIdle(t, p, srv.addr(), 1)
+	p.Fill()
+	if got := p.Idle(srv.addr()); got != 1 {
+		t.Fatalf("idle = %d after fill, want 1", got)
+	}
 
 	time.Sleep(60 * time.Millisecond)
 	if _, ok := p.Get(srv.addr()); ok {
@@ -216,8 +226,7 @@ func TestExpiryAtCheckout(t *testing.T) {
 func TestDeadConnDetectedAtCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 2,
-		FillInterval: time.Hour, Obs: reg})
+	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 2, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 2)
 
@@ -245,8 +254,7 @@ func TestRankingDrivenResize(t *testing.T) {
 		relayStatus(srvA.addr(), false),
 		relayStatus(srvB.addr(), false),
 	})
-	p := New(Config{Ranker: rk, SizePerRelay: 2, TopK: 1,
-		FillInterval: time.Hour})
+	p := New(Config{Ranker: rk, SizePerRelay: 2, TopK: 1})
 	defer p.Close()
 
 	// Only the top-1 relay (A) is warmed.
@@ -254,13 +262,29 @@ func TestRankingDrivenResize(t *testing.T) {
 	waitIdle(t, p, srvB.addr(), 0)
 
 	// The ranking flips: B leads, A demoted out of the top-K. The
-	// subscription wakes the filler — A's idle conns drain, B warms.
+	// subscription wakes the filler — A's idle conns drain, B warms — at
+	// once, not on the next fillInterval tick. The flip lands just after
+	// a tick's Fill has read the ranking (nothing else runs Fill here),
+	// so a filler that waited for its tick would take about fillInterval.
+	reads := rk.readCount()
+	for deadline := time.Now().Add(2 * fillInterval); rk.readCount() == reads; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no filler tick within %v", 2*fillInterval)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	flipped := time.Now()
 	rk.set(pathmon.MakeRoute(srvB.addr()), true, []pathmon.RouteStatus{
 		relayStatus(srvB.addr(), false),
 		relayStatus(srvA.addr(), false),
 	})
-	waitIdle(t, p, srvB.addr(), 2)
-	waitIdle(t, p, srvA.addr(), 0)
+	for p.Idle(srvB.addr()) != 2 || p.Idle(srvA.addr()) != 0 {
+		if time.Since(flipped) > fillInterval/2 {
+			t.Fatalf("%v after the flip: idle(B) = %d, idle(A) = %d, want 2 and 0 (the filler waited for its tick)",
+				time.Since(flipped), p.Idle(srvB.addr()), p.Idle(srvA.addr()))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestBestPathAlwaysWarmedEvenIfDownRanked(t *testing.T) {
@@ -271,7 +295,7 @@ func TestBestPathAlwaysWarmedEvenIfDownRanked(t *testing.T) {
 	rk.set(pathmon.MakeRoute(srv.addr()), true, []pathmon.RouteStatus{
 		relayStatus(srv.addr(), true),
 	})
-	p := New(Config{Ranker: rk, SizePerRelay: 1, FillInterval: time.Hour})
+	p := New(Config{Ranker: rk, SizePerRelay: 1})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 1)
 }
@@ -327,8 +351,7 @@ func TestConcurrentCheckout(t *testing.T) {
 
 func TestCloseRetiresEverything(t *testing.T) {
 	srv := newAcceptServer(t)
-	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 3,
-		FillInterval: time.Hour})
+	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 3})
 	waitIdle(t, p, srv.addr(), 3)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -441,7 +464,7 @@ func TestCloseWithFillInFlight(t *testing.T) {
 	check := servertest.CheckLeaks(t)
 	srv := newAcceptServer(t)
 	d := &gateDialer{dialing: make(chan struct{}, 1), release: make(chan struct{})}
-	p := New(Config{Ranker: bestRanker(srv.addr()), Dialer: d, FillInterval: time.Hour})
+	p := New(Config{Ranker: bestRanker(srv.addr()), Dialer: d})
 	<-d.dialing // the filler's first Fill is mid-dial
 
 	closed := make(chan struct{})
@@ -475,13 +498,12 @@ func (d *stallDialer) DialContext(ctx context.Context, _, _ string) (net.Conn, e
 }
 
 // TestCloseAbandonsWarmDial: Close with a warm dial in flight returns at
-// once, cancelling the dial instead of waiting out DialTimeout, and gives
+// once, cancelling the dial instead of waiting out warmDialTimeout, and gives
 // back every goroutine.
 func TestCloseAbandonsWarmDial(t *testing.T) {
 	check := servertest.CheckLeaks(t)
 	d := &stallDialer{dialing: make(chan struct{}, 1)}
-	p := New(Config{Ranker: bestRanker("192.0.2.1:9000"), Dialer: d,
-		DialTimeout: 5 * time.Second, FillInterval: time.Hour})
+	p := New(Config{Ranker: bestRanker("192.0.2.1:9000"), Dialer: d})
 	<-d.dialing // the filler's first Fill is mid-dial
 
 	start := time.Now()

@@ -46,11 +46,10 @@ func newBenchGateway(b *testing.B, poolSize int) (*Gateway, string) {
 	mon.Pin(pathmon.MakeRoute(relayAddr))
 
 	g, err := New(Config{
-		Dest:             dest,
-		Monitor:          mon,
-		Dialer:           &delayDialer{delay: benchHandshakeRTT},
-		PoolSize:         poolSize,
-		PoolFillInterval: time.Hour, // warm-up is explicit via Fill
+		Dest:     dest,
+		Monitor:  mon,
+		Dialer:   &delayDialer{delay: benchHandshakeRTT},
+		PoolSize: poolSize,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -43,6 +43,9 @@ type Ranker interface {
 	Subscribe() (<-chan struct{}, func())
 }
 
+// dialTimeout bounds each path attempt.
+const dialTimeout = 10 * time.Second
+
 // Config parameterizes a Gateway. Dest is required.
 type Config struct {
 	// Dest is the destination address as reachable from the relays — the
@@ -56,8 +59,6 @@ type Config struct {
 	// listeners share a monitor. With a nil Monitor the gateway always
 	// dials direct.
 	Monitor Ranker
-	// DialTimeout bounds each path attempt (default 10 s).
-	DialTimeout time.Duration
 	// IdleTimeout closes listener-mode flows with no traffic in either
 	// direction (default 5 min; negative disables). Without it a dead
 	// peer holds a gateway flow — and its relay slot — forever.
@@ -78,17 +79,9 @@ type Config struct {
 	// collapsing overlay connection setup from two round trips to one.
 	// 0 disables the pool; every relay dial is cold and wire behaviour
 	// is unchanged. The pool needs a Monitor (relays come from its
-	// ranking).
+	// ranking). The pool keeps connpool's defaults: the top two relays
+	// warm, and a pooled connection retired after 60 s idle.
 	PoolSize int
-	// PoolIdleTTL bounds the idle age of a pooled connection (default
-	// 60 s — keep it under the relay fleet's pre-CONNECT IdleTimeout).
-	PoolIdleTTL time.Duration
-	// PoolRelays is how many top-ranked relays the pool keeps warm
-	// (default 2); the committed best path is always warmed.
-	PoolRelays int
-	// PoolFillInterval overrides the pool's background re-warm cadence
-	// (default 1 s; tests and benchmarks shorten it).
-	PoolFillInterval time.Duration
 	// Dialer overrides the underlying dialer (tests).
 	Dialer relay.Dialer
 	// Obs receives gateway metrics and flow events (nil disables
@@ -153,9 +146,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.DirectAddr == "" {
 		cfg.DirectAddr = cfg.Dest
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	if cfg.IdleTimeout < 0 {
 		cfg.IdleTimeout = 0
 	} else if cfg.IdleTimeout == 0 {
@@ -171,10 +161,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.PoolSize > 0 && cfg.Monitor != nil {
 		g.pool = connpool.New(connpool.Config{
 			SizePerRelay: cfg.PoolSize,
-			TopK:         cfg.PoolRelays,
-			IdleTTL:      cfg.PoolIdleTTL,
-			FillInterval: cfg.PoolFillInterval,
-			DialTimeout:  cfg.DialTimeout,
 			Ranker:       cfg.Monitor,
 			Dialer:       cfg.Dialer,
 			Obs:          cfg.Obs,
@@ -344,7 +330,7 @@ func (g *Gateway) Dial(ctx context.Context) (net.Conn, pathmon.Route, error) {
 // cold dial when the pool misses (or a checked-out socket dies mid
 // handshake), so behaviour degrades to exactly the unpooled route.
 func (g *Gateway) dialRoute(ctx context.Context, r pathmon.Route) (conn net.Conn, pooled bool, err error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	hops := r.Hops()
 	if len(hops) == 0 {

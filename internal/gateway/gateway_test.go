@@ -147,7 +147,7 @@ func TestDialFallsBackWhenBestPathDead(t *testing.T) {
 	mon.Pin(pathmon.MakeRoute(deadRelay))
 
 	reg := obs.NewRegistry()
-	g, err := New(Config{Dest: dest, Monitor: mon, DialTimeout: time.Second, Obs: reg})
+	g, err := New(Config{Dest: dest, Monitor: mon, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestServeListenerMode(t *testing.T) {
 }
 
 func TestDialAllPathsDead(t *testing.T) {
-	g, err := New(Config{Dest: "127.0.0.1:1", DialTimeout: time.Second})
+	g, err := New(Config{Dest: "127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,6 @@ func TestDialDirectStaysInsideAttemptCap(t *testing.T) {
 		Dest:        dest.String(),
 		Monitor:     mon,
 		MaxAttempts: 1,
-		DialTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,9 +383,29 @@ func (d *stallDialer) DialContext(ctx context.Context, network, addr string) (ne
 	return nil, ctx.Err()
 }
 
+// TestIdleTimeoutSetting: an unset IdleTimeout takes the 5 min default,
+// and a negative one disables the timeout (New stores 0, which pipe reads
+// as no deadline).
+func TestIdleTimeoutSetting(t *testing.T) {
+	for _, c := range []struct{ set, want time.Duration }{
+		{0, 5 * time.Minute},
+		{-1, 0},
+		{time.Second, time.Second},
+	} {
+		g, err := New(Config{Dest: "127.0.0.1:1", IdleTimeout: c.set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.cfg.IdleTimeout; got != c.want {
+			t.Errorf("IdleTimeout %v: New stored %v, want %v", c.set, got, c.want)
+		}
+		_ = g.Close()
+	}
+}
+
 // TestCloseAbortsDialInFlight: Close with two live flows and a third
 // still dialing returns at once — it cancels the dial instead of waiting
-// out DialTimeout (10 s) — and gives back every goroutine and socket.
+// out dialTimeout (10 s) — and gives back every goroutine and socket.
 func TestCloseAbortsDialInFlight(t *testing.T) {
 	dest := echoServer(t)
 	check := servertest.CheckLeaks(t)
@@ -485,10 +504,9 @@ func TestDialUsesWarmPool(t *testing.T) {
 	mon.Pin(pathmon.MakeRoute(rl.Addr().String()))
 
 	g, err := New(Config{
-		Dest:             dest.String(),
-		Monitor:          mon,
-		PoolSize:         2,
-		PoolFillInterval: 20 * time.Millisecond,
+		Dest:     dest.String(),
+		Monitor:  mon,
+		PoolSize: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -83,8 +83,7 @@ func TestWireGolden(t *testing.T) {
 	redial := make(chan net.Conn, 1)
 	redial <- a
 	cfg := Config{
-		ChannelID:        0x0102030405060708,
-		ReconnectBackoff: time.Millisecond,
+		ChannelID: 0x0102030405060708,
 		Dialer: func(int) (net.Conn, error) {
 			select {
 			case c := <-redial:

@@ -108,21 +108,12 @@ type Config struct {
 	// WindowSegs bounds unacknowledged segments (default 256); Write
 	// blocks when the window is full.
 	WindowSegs int
-	// AckEvery controls how many in-order segments the receiver delivers
-	// between cumulative ACKs (default 4).
-	AckEvery int
-	// SubflowInflight caps unacknowledged segments per subflow (default
-	// 8). Without it a slow subflow's writer pulls unbounded work into
-	// kernel buffers and head-of-line blocks the reassembly window.
-	SubflowInflight int
 	// MaxBufferedBytes caps the receiver's reassembled-but-unread byte
 	// buffer (default 8 MiB). While over the cap the receiver withholds
 	// cumulative ACKs, so the sender's window closes and a non-reading
 	// application cannot force unbounded buffering; at most one more
 	// window (WindowSegs * MaxSegBytes) arrives past the cap.
 	MaxBufferedBytes int
-	// CloseTimeout bounds Close's wait for final ACKs (default 30 s).
-	CloseTimeout time.Duration
 	// Dialer enables subflow re-establishment: when a subflow dies, the
 	// sender redials it and rejoins the channel. Nil disables reconnect
 	// (a dead subflow stays dead).
@@ -130,15 +121,6 @@ type Config struct {
 	// ChannelID identifies the channel in JOIN handshakes; the receiver
 	// rejects joins for any other ID. Both ends must agree on it.
 	ChannelID uint64
-	// ReconnectAttempts caps redial attempts per subflow death
-	// (default 5).
-	ReconnectAttempts int
-	// ReconnectBackoff is the delay before the first redial attempt
-	// (default 25 ms), doubling each attempt with up to 50% added
-	// jitter, capped at 2 s.
-	ReconnectBackoff time.Duration
-	// JoinTimeout bounds each side of the JOIN handshake (default 5 s).
-	JoinTimeout time.Duration
 	// Obs receives per-subflow metrics and failover events (nil disables
 	// instrumentation at zero cost).
 	Obs *obs.Registry
@@ -160,31 +142,31 @@ func (c *Config) applyDefaults() {
 	if c.WindowSegs <= 0 {
 		c.WindowSegs = 256
 	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 4
-	}
-	if c.SubflowInflight <= 0 {
-		c.SubflowInflight = 8
-	}
 	if c.MaxBufferedBytes <= 0 {
 		c.MaxBufferedBytes = 8 << 20
 	}
-	if c.CloseTimeout <= 0 {
-		c.CloseTimeout = 30 * time.Second
-	}
-	if c.ReconnectAttempts <= 0 {
-		c.ReconnectAttempts = 5
-	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = 25 * time.Millisecond
-	}
-	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = 5 * time.Second
-	}
 }
 
-// maxReconnectBackoff caps the exponential redial backoff.
-const maxReconnectBackoff = 2 * time.Second
+const (
+	// ackEvery is how many in-order segments the receiver delivers
+	// between cumulative ACKs.
+	ackEvery = 4
+	// subflowInflight caps unacknowledged segments per subflow. Without
+	// it a slow subflow's writer pulls unbounded work into kernel
+	// buffers and head-of-line blocks the reassembly window.
+	subflowInflight = 8
+	// closeTimeout bounds Close's wait for final ACKs.
+	closeTimeout = 30 * time.Second
+	// reconnectAttempts caps redial attempts per subflow death.
+	reconnectAttempts = 5
+	// reconnectBackoff is the delay before the first redial attempt,
+	// doubling each attempt with up to 50% added jitter, capped at
+	// maxReconnectBackoff.
+	reconnectBackoff    = 25 * time.Millisecond
+	maxReconnectBackoff = 2 * time.Second
+	// joinTimeout bounds each side of the JOIN handshake.
+	joinTimeout = 5 * time.Second
+)
 
 // Errors.
 var (
@@ -370,7 +352,7 @@ func (s *Sender) Write(p []byte) (int, error) {
 }
 
 // Close flushes remaining data, waits for all acknowledgments (bounded by
-// CloseTimeout), sends FIN, and closes the subflows. Once the FIN is out,
+// closeTimeout), sends FIN, and closes the subflows. Once the FIN is out,
 // subflow teardown is orderly: conns closing underneath the ack loops is
 // no longer treated as a path failure.
 func (s *Sender) Close() error {
@@ -382,7 +364,7 @@ func (s *Sender) Close() error {
 	s.closed = true
 	finSeq := s.nextSeq
 	s.cond.Broadcast()
-	deadline := time.Now().Add(s.cfg.CloseTimeout)
+	deadline := time.Now().Add(closeTimeout)
 	for s.cumAcked < finSeq && s.deadErr == nil && time.Now().Before(deadline) {
 		s.waitWithTimeout(50 * time.Millisecond)
 	}
@@ -455,7 +437,7 @@ func (s *Sender) writeLoop(i int, epoch uint64, conn net.Conn) {
 	hdr := make([]byte, headerSize)
 	for {
 		s.mu.Lock()
-		for (len(s.pending) == 0 || s.inflightLocked(i) >= s.cfg.SubflowInflight) &&
+		for (len(s.pending) == 0 || s.inflightLocked(i) >= subflowInflight) &&
 			!s.doneLocked() && s.alive[i] && s.epoch[i] == epoch {
 			s.cond.Wait()
 		}
@@ -617,11 +599,11 @@ func (s *Sender) subflowDied(i int, epoch uint64) {
 
 // reconnectLoop redials subflow i with exponential backoff + jitter,
 // rejoins it to the channel via the JOIN handshake, and puts it back into
-// service. It gives up after ReconnectAttempts or when the sender closes.
+// service. It gives up after reconnectAttempts or when the sender closes.
 func (s *Sender) reconnectLoop(i int) {
 	defer s.wg.Done()
-	backoff := s.cfg.ReconnectBackoff
-	for attempt := 1; attempt <= s.cfg.ReconnectAttempts; attempt++ {
+	backoff := reconnectBackoff
+	for attempt := 1; attempt <= reconnectAttempts; attempt++ {
 		select {
 		case <-s.ctx.Done():
 			s.reconnectDone(false)
@@ -670,12 +652,12 @@ func (s *Sender) reconnectDone(ok bool) {
 
 // joinHandshake identifies the reconnected socket to the receiver:
 // channel ID + subflow index out, the same frame echoed back on accept.
-// Close expires the handshake rather than waiting out JoinTimeout; a
+// Close expires the handshake rather than waiting out joinTimeout; a
 // handshake that wins that race is refused by install.
 func (s *Sender) joinHandshake(conn net.Conn, i int) error {
 	hdr := make([]byte, headerSize)
 	header{typ: frameJoin, seq: s.cfg.ChannelID, length: uint32(i)}.put(hdr)
-	_ = conn.SetDeadline(time.Now().Add(s.cfg.JoinTimeout))
+	_ = conn.SetDeadline(time.Now().Add(joinTimeout))
 	stop := context.AfterFunc(s.ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 	if _, err := conn.Write(hdr); err != nil {

@@ -220,7 +220,7 @@ func TestSubflowFailover(t *testing.T) {
 // reports the failure.
 func TestAllSubflowsDead(t *testing.T) {
 	sConns, rConns := tcpPairs(t, 2)
-	s, err := NewSender(sConns, Config{CloseTimeout: time.Second})
+	s, err := NewSender(sConns, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestConcurrentlyInterleavedSegments(t *testing.T) {
 	// Tiny segments over many subflows maximize reordering pressure.
 	s, r := pipes(8)
 	payload := randomPayload(11, 512<<10)
-	got := transfer(t, s, r, payload, Config{MaxSegBytes: 512, WindowSegs: 2048, SubflowInflight: 4})
+	got := transfer(t, s, r, payload, Config{MaxSegBytes: 512, WindowSegs: 2048})
 	if !bytes.Equal(got, payload) {
 		t.Error("payload corrupted under heavy interleaving")
 	}

@@ -186,7 +186,7 @@ func (r *Receiver) Close() error {
 // connection is closed on any error.
 func (r *Receiver) Join(conn net.Conn) error {
 	hdr := make([]byte, headerSize)
-	_ = conn.SetDeadline(time.Now().Add(r.cfg.JoinTimeout))
+	_ = conn.SetDeadline(time.Now().Add(joinTimeout))
 	if _, err := io.ReadFull(conn, hdr); err != nil {
 		_ = conn.Close()
 		return fmt.Errorf("multipath: read join: %w", err)
@@ -285,7 +285,7 @@ func (r *Receiver) readLoop(conn net.Conn, i int, epoch uint64) {
 
 // ingest stores a segment, advances the in-order point, and acks: a
 // subflow-level ack immediately (it keeps the subflow's window moving) and
-// a connection-level cumulative ack every AckEvery deliveries — unless the
+// a connection-level cumulative ack every ackEvery deliveries — unless the
 // application has stopped reading and delivered is over the buffer cap,
 // in which case the cumulative ack is withheld until Read drains.
 func (r *Receiver) ingest(i int, epoch uint64, seq uint64, data []byte) {
@@ -328,7 +328,7 @@ func (r *Receiver) ingest(i int, epoch uint64, seq uint64, data []byte) {
 	// Ack on cadence, and additionally whenever the reorder buffer drains
 	// completely — the tail of a transfer would otherwise never be
 	// cumulatively acknowledged and the sender's Close would hang.
-	needAck := r.sinceAck >= r.cfg.AckEvery || (advanced && len(r.reorder) == 0)
+	needAck := r.sinceAck >= ackEvery || (advanced && len(r.reorder) == 0)
 	if needAck && r.deliveredBytes > r.cfg.MaxBufferedBytes {
 		r.ackHeld = true
 		r.ackHeldOn = i

@@ -64,10 +64,9 @@ func joinableReceiver(t *testing.T, n int, cfg Config) (*Receiver, []net.Conn, n
 func TestSubflowRejoin(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := Config{
-		MaxSegBytes:      4 << 10,
-		ChannelID:        77,
-		ReconnectBackoff: 5 * time.Millisecond,
-		Obs:              reg,
+		MaxSegBytes: 4 << 10,
+		ChannelID:   77,
+		Obs:         reg,
 	}
 	r, senderConns, ln := joinableReceiver(t, 2, cfg)
 	cfg.Dialer = func(int) (net.Conn, error) {
@@ -144,10 +143,7 @@ func TestSubflowRejoin(t *testing.T) {
 func TestReconnectGivesUp(t *testing.T) {
 	sConns, rConns := tcpPairs(t, 1)
 	cfg := Config{
-		ChannelID:         1,
-		ReconnectAttempts: 2,
-		ReconnectBackoff:  time.Millisecond,
-		CloseTimeout:      time.Second,
+		ChannelID: 1,
 	}
 	cfg.Dialer = func(int) (net.Conn, error) {
 		return nil, errors.New("no route")
@@ -271,7 +267,6 @@ func TestReceiverBackpressure(t *testing.T) {
 	cfg := Config{
 		MaxSegBytes:      4 << 10,
 		WindowSegs:       4,
-		AckEvery:         1,
 		MaxBufferedBytes: 32 << 10,
 	}
 	s, err := NewSender(sConns, cfg)
@@ -379,8 +374,7 @@ func TestCloseWithRejoinInFlight(t *testing.T) {
 	}()
 	sConns, rConns := tcpPairs(t, 2)
 	cfg := Config{
-		ChannelID:        7,
-		ReconnectBackoff: time.Millisecond,
+		ChannelID: 7,
 		Dialer: func(int) (net.Conn, error) {
 			return net.DialTimeout("tcp", ln.Addr().String(), time.Second)
 		},
@@ -428,7 +422,7 @@ func TestCloseWithRejoinInFlight(t *testing.T) {
 
 // TestCloseExpiresUnansweredJoin: Close while a rejoin's JOIN is sent and
 // never answered returns at once, expiring the handshake instead of
-// waiting out JoinTimeout, and gives back every goroutine and socket.
+// waiting out joinTimeout, and gives back every goroutine and socket.
 func TestCloseExpiresUnansweredJoin(t *testing.T) {
 	check := servertest.CheckLeaks(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -444,9 +438,7 @@ func TestCloseExpiresUnansweredJoin(t *testing.T) {
 	}()
 	sConns, rConns := tcpPairs(t, 2)
 	cfg := Config{
-		ChannelID:        7,
-		ReconnectBackoff: time.Millisecond,
-		JoinTimeout:      5 * time.Second,
+		ChannelID: 7,
 		Dialer: func(int) (net.Conn, error) {
 			return net.DialTimeout("tcp", ln.Addr().String(), time.Second)
 		},

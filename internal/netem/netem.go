@@ -33,15 +33,16 @@ type Impairment struct {
 	RateMbps float64
 }
 
+// chunkBytes is the shaping granularity: the largest chunk the shaper
+// delays as one. Smaller chunks emulate latency more faithfully at more
+// CPU cost. A direction reads 4 KiB chunks until its first read fills
+// one, then chunkBytes.
+const chunkBytes = 16 << 10
+
 // Config shapes both directions of a proxied connection.
 type Config struct {
 	// Up shapes client -> target; Down shapes target -> client.
 	Up, Down Impairment
-	// ChunkBytes is the shaping granularity: the largest chunk the
-	// shaper delays as one (default 16 KiB). Smaller chunks emulate
-	// latency more faithfully at more CPU cost. A direction reads 4 KiB
-	// chunks until its first read fills one, then ChunkBytes.
-	ChunkBytes int
 	// Seed drives jitter and probabilistic fault arming; 0 uses a fixed
 	// default. All connections through a proxy share one seeded source,
 	// so an impairment run is reproducible end to end.
@@ -97,9 +98,6 @@ type Proxy struct {
 
 // New creates a shaping proxy listening on ln and forwarding to target.
 func New(ln net.Listener, target string, cfg Config) *Proxy {
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 16 << 10
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -219,7 +217,7 @@ func (p *Proxy) handle(idx int64, down net.Conn) {
 	var span *flowtrace.Span
 	joined := false
 	res, _ := pipe.Bidirectional(context.Background(), down, up, pipe.Options{
-		BufferBytes: p.cfg.ChunkBytes,
+		BufferBytes: chunkBytes,
 		Hook: func(dir pipe.Dir, chunk []byte, write pipe.WriteFunc) error {
 			if dir == pipe.AToB {
 				if !joined {

@@ -151,11 +151,10 @@ func TestChainIncumbentSurvivesCandidacyLoss(t *testing.T) {
 	b := MakeRoute("relay-b:9000")
 	ab := MakeRoute(a.First(), b.First())
 	m, _ := synthMonitor(t, Config{
-		Fleet:         []string{a.First(), b.First()},
-		Alpha:         1,
-		MaxHops:       2,
-		SwitchRounds:  2,
-		FailThreshold: 2,
+		Fleet:        []string{a.First(), b.First()},
+		Alpha:        1,
+		MaxHops:      2,
+		SwitchRounds: 2,
 	})
 	now := time.Unix(1000, 0)
 	tick := func() time.Time { now = now.Add(time.Second); return now }

@@ -11,10 +11,9 @@ func TestPathsHandlerJSON(t *testing.T) {
 	a := MakeRoute("relay-a:9000")
 	b := MakeRoute("relay-b:9000")
 	m, _ := synthMonitor(t, Config{
-		Fleet:         []string{a.First(), b.First()},
-		Alpha:         1,
-		MaxHops:       2,
-		FailThreshold: 1,
+		Fleet:   []string{a.First(), b.First()},
+		Alpha:   1,
+		MaxHops: 2,
 	})
 	now := time.Unix(1000, 0)
 	feedRound(m, now, map[Route]time.Duration{

@@ -3,6 +3,7 @@ package pathmon
 import (
 	"context"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -25,6 +26,30 @@ func (d *blackholeDialer) DialContext(ctx context.Context, _, _ string) (net.Con
 	}
 	<-ctx.Done()
 	return nil, ctx.Err()
+}
+
+// refuseDialer fails every dial at once, as a host with nothing
+// listening does.
+type refuseDialer struct{}
+
+func (refuseDialer) DialContext(context.Context, string, string) (net.Conn, error) {
+	return nil, &net.OpError{Op: "dial", Err: syscall.ECONNREFUSED}
+}
+
+// TestIntervalPacesRounds: the background loop probes once at Start and
+// then once per Interval.
+func TestIntervalPacesRounds(t *testing.T) {
+	m, reg := synthMonitor(t, Config{Interval: 20 * time.Millisecond, Dialer: refuseDialer{}})
+	m.Start()
+	defer m.Close()
+	rounds := reg.Counter("cronets_pathmon_rounds_total", "")
+	deadline := time.Now().Add(2 * time.Second)
+	for rounds.Value() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d probe rounds in 2 s at a 20 ms Interval, want 4", rounds.Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestCloseFastWithBlackholedProbe is the regression test for the Close

@@ -70,7 +70,9 @@ type Config struct {
 	// Objective selects the metric that orders the monitor's own ranked
 	// table and drives its hysteresis (default ObjectiveLatency — the
 	// pre-objective behavior). Additional objectives ride the same probe
-	// data through View.
+	// data through View. ObjectiveThroughput needs BurstDuration > 0:
+	// New rejects it without bursts, since every route would then score
+	// alike and no challenger could ever clear the switch margin.
 	Objective Objective
 	// BurstDuration, when positive, enables periodic throughput bursts:
 	// a timed sink-mode upload on a fresh connection whose result feeds
@@ -92,15 +94,6 @@ type Config struct {
 	// SwitchRounds is how many consecutive qualifying rounds the same
 	// challenger needs before traffic switches (default 3).
 	SwitchRounds int
-	// FailThreshold is how many consecutive failed rounds take a route
-	// out of contention (default 2). The incumbent going down switches
-	// immediately, ignoring hysteresis.
-	FailThreshold int
-	// StaleAfter is the estimate age past which a route's latency score
-	// inflates (default 3×Interval; negative disables). Throughput
-	// estimates decay on the same curve, scaled by the burst cadence
-	// (bursts are naturally BurstEvery or more rounds apart).
-	StaleAfter time.Duration
 	// MaxHops caps overlay route depth. 1 (the default) probes only the
 	// direct path and single-relay routes; values >= 2 additionally
 	// enumerate multi-hop chains up to that depth with a beam search
@@ -131,6 +124,18 @@ type Config struct {
 	// instrumentation).
 	Obs *obs.Registry
 }
+
+const (
+	// failThreshold is how many consecutive failed rounds take a route
+	// out of contention. The incumbent going down switches immediately,
+	// ignoring hysteresis.
+	failThreshold = 2
+	// staleIntervals is the estimate age, in probe Intervals, past which
+	// a route's latency score inflates. Throughput estimates decay on the
+	// same curve, scaled by the burst cadence (bursts are naturally
+	// BurstEvery or more rounds apart).
+	staleIntervals = 3
+)
 
 // rankView is one objective's independently hysteresis-damped selection
 // state over the shared probe table. The Monitor always has one for its
@@ -205,6 +210,9 @@ func New(cfg Config) (*Monitor, error) {
 	if err := checkFleet(cfg.Fleet); err != nil {
 		return nil, err
 	}
+	if cfg.Objective == ObjectiveThroughput && cfg.BurstDuration <= 0 {
+		return nil, errors.New("pathmon: Config.Objective throughput needs Config.BurstDuration > 0")
+	}
 	if cfg.DirectAddr == "" {
 		cfg.DirectAddr = cfg.Dest
 	}
@@ -237,14 +245,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	if cfg.SwitchRounds <= 0 {
 		cfg.SwitchRounds = 3
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 2
-	}
-	if cfg.StaleAfter == 0 {
-		cfg.StaleAfter = 3 * cfg.Interval
-	} else if cfg.StaleAfter < 0 {
-		cfg.StaleAfter = 0
 	}
 	if cfg.MaxHops < 1 {
 		cfg.MaxHops = 1
@@ -455,15 +455,18 @@ func (m *Monitor) scheduleBurstsLocked(routes []Route) map[Route]bool {
 	return due
 }
 
+// staleAfter is the estimate age past which a route's latency score
+// inflates.
+func (m *Monitor) staleAfter() time.Duration {
+	return staleIntervals * m.cfg.Interval
+}
+
 // burstStaleAfterLocked scales the staleness horizon to the burst
 // cadence: with N routes sharing MaxBurstsPerRound slots every
 // BurstEvery rounds, consecutive bursts on one route are naturally
 // max(BurstEvery, ceil(N/K)) rounds apart — the throughput estimate must
 // not decay between two healthy bursts. Caller holds m.mu.
 func (m *Monitor) burstStaleAfterLocked() time.Duration {
-	if m.cfg.StaleAfter <= 0 {
-		return 0
-	}
 	n := len(m.order) + len(m.chains)
 	cadence := (n + m.cfg.MaxBurstsPerRound - 1) / m.cfg.MaxBurstsPerRound
 	if m.cfg.BurstEvery > cadence {
@@ -472,7 +475,7 @@ func (m *Monitor) burstStaleAfterLocked() time.Duration {
 	if cadence < 1 {
 		cadence = 1
 	}
-	return m.cfg.StaleAfter * time.Duration(cadence)
+	return m.staleAfter() * time.Duration(cadence)
 }
 
 // dialRoute opens one measurement connection over a route — the same
@@ -610,7 +613,7 @@ func (m *Monitor) applyRankingLocked(v *rankView, now time.Time) {
 	}
 
 	incumbent := m.states[v.best]
-	if incumbent == nil || incumbent.down(m.cfg.FailThreshold) {
+	if incumbent == nil || incumbent.down() {
 		// Dead incumbent: switch immediately, hysteresis is for flap
 		// damping, not for staying on a black hole.
 		if leader != v.best {
@@ -730,11 +733,11 @@ func (m *Monitor) rebuildChainsLocked(now time.Time) {
 		singles := make([]single, 0, len(m.order))
 		for _, p := range m.order {
 			st := m.states[p]
-			score := st.score(now, m.cfg.StaleAfter, m.cfg.FailThreshold)
+			score := st.score(now, m.staleAfter())
 			if score < best {
 				best = score
 			}
-			if p.IsDirect() || st.down(m.cfg.FailThreshold) {
+			if p.IsDirect() || st.down() {
 				continue
 			}
 			singles = append(singles, single{relay: p.First(), score: score, srtt: st.srtt})
@@ -743,7 +746,7 @@ func (m *Monitor) rebuildChainsLocked(now time.Time) {
 		// pruning bound, never loosen it.
 		for _, p := range m.chains {
 			if st := m.states[p]; st != nil {
-				if score := st.score(now, m.cfg.StaleAfter, m.cfg.FailThreshold); score < best {
+				if score := st.score(now, m.staleAfter()); score < best {
 					best = score
 				}
 			}
@@ -880,14 +883,14 @@ func (m *Monitor) rankForLocked(v *rankView, now time.Time) []RouteStatus {
 		}
 		out = append(out, RouteStatus{
 			Route:      p,
-			Score:      st.score(now, m.cfg.StaleAfter, m.cfg.FailThreshold),
+			Score:      st.score(now, m.staleAfter()),
 			SRTT:       time.Duration(st.srtt * float64(time.Second)),
 			RTTVar:     time.Duration(st.rttvar * float64(time.Second)),
 			Mbps:       st.effMbps(now, burstStale),
 			LastBurst:  st.lastBurst,
 			Samples:    st.samples,
 			Fails:      st.fails,
-			Down:       st.down(m.cfg.FailThreshold),
+			Down:       st.down(),
 			Best:       v.chosen && p == v.best,
 			LastSample: st.lastSample,
 		})

@@ -108,6 +108,39 @@ func TestHysteresisNoFlapAtMarginBoundary(t *testing.T) {
 	}
 }
 
+// TestSwitchMarginSetsTheBar: an operator's wider margin holds traffic
+// through a lead that the default 10% margin would act on, and still
+// switches once the challenger clears it.
+func TestSwitchMarginSetsTheBar(t *testing.T) {
+	relayA := MakeRoute("relay-a:9000")
+	m, reg := synthMonitor(t, Config{
+		Fleet:        []string{relayA.First()},
+		Alpha:        1,
+		SwitchMargin: 0.3,
+		SwitchRounds: 2,
+	})
+	now := time.Unix(1000, 0)
+	tick := func() time.Time { now = now.Add(time.Second); return now }
+	round(m, tick(), map[Route]time.Duration{Direct: 100 * time.Millisecond, relayA: 120 * time.Millisecond})
+	round(m, tick(), map[Route]time.Duration{Direct: 100 * time.Millisecond, relayA: 120 * time.Millisecond})
+
+	// A 20% lead clears 10% but not 30%.
+	for i := 0; i < 10; i++ {
+		round(m, tick(), map[Route]time.Duration{Direct: 100 * time.Millisecond, relayA: 80 * time.Millisecond})
+	}
+	if best, _ := m.Best(); best != Direct || switches(reg) != 0 {
+		t.Fatalf("best = %v after %d switch(es) on a 20%% lead, want direct under a 30%% margin", best, switches(reg))
+	}
+
+	// A 40% lead clears it.
+	for i := 0; i < 10; i++ {
+		round(m, tick(), map[Route]time.Duration{Direct: 100 * time.Millisecond, relayA: 60 * time.Millisecond})
+	}
+	if best, _ := m.Best(); best != relayA || switches(reg) != 1 {
+		t.Fatalf("best = %v after %d switch(es) on a 40%% lead, want one switch to %v", best, switches(reg), relayA)
+	}
+}
+
 func TestHysteresisBoundedConvergenceAfterStep(t *testing.T) {
 	relayA := MakeRoute("relay-a:9000")
 	m, reg := synthMonitor(t, Config{
@@ -153,10 +186,9 @@ func TestHysteresisBoundedConvergenceAfterStep(t *testing.T) {
 func TestIncumbentDownSwitchesImmediately(t *testing.T) {
 	relayA := MakeRoute("relay-a:9000")
 	m, reg := synthMonitor(t, Config{
-		Fleet:         []string{relayA.First()},
-		Alpha:         1,
-		SwitchRounds:  5, // hysteresis must NOT delay a dead-incumbent switch
-		FailThreshold: 2,
+		Fleet:        []string{relayA.First()},
+		Alpha:        1,
+		SwitchRounds: 5, // hysteresis must NOT delay a dead-incumbent switch
 	})
 	now := time.Unix(1000, 0)
 	tick := func() time.Time { now = now.Add(time.Second); return now }
@@ -167,7 +199,7 @@ func TestIncumbentDownSwitchesImmediately(t *testing.T) {
 		t.Fatalf("best = %v, want direct", best)
 	}
 
-	// Two consecutive probe failures hit FailThreshold: immediate switch.
+	// Two consecutive probe failures hit failThreshold: immediate switch.
 	round(m, tick(), map[Route]time.Duration{Direct: -1, relayA: 40 * time.Millisecond})
 	round(m, tick(), map[Route]time.Duration{Direct: -1, relayA: 40 * time.Millisecond})
 	if best, _ := m.Best(); best != relayA {
@@ -188,10 +220,9 @@ func TestIncumbentDownSwitchesImmediately(t *testing.T) {
 func TestStalenessInflatesScore(t *testing.T) {
 	relayA := MakeRoute("relay-a:9000")
 	m, _ := synthMonitor(t, Config{
-		Fleet:      []string{relayA.First()},
-		Alpha:      1,
-		Interval:   time.Second,
-		StaleAfter: 3 * time.Second,
+		Fleet:    []string{relayA.First()},
+		Alpha:    1,
+		Interval: time.Second,
 	})
 	now := time.Unix(1000, 0)
 
@@ -213,7 +244,7 @@ func TestStalenessInflatesScore(t *testing.T) {
 
 func TestRankedMarksDownPaths(t *testing.T) {
 	relayA := MakeRoute("relay-a:9000")
-	m, _ := synthMonitor(t, Config{Fleet: []string{relayA.First()}, Alpha: 1, FailThreshold: 2})
+	m, _ := synthMonitor(t, Config{Fleet: []string{relayA.First()}, Alpha: 1})
 	now := time.Unix(1000, 0)
 	round(m, now, map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: -1})
 	round(m, now.Add(time.Second), map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: -1})

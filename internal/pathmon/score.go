@@ -92,7 +92,7 @@ type pathState struct {
 	srtt, rttvar float64
 	// samples counts successful probe rounds folded into the estimate.
 	samples int
-	// fails counts consecutive failed probe rounds; FailThreshold of them
+	// fails counts consecutive failed probe rounds; failThreshold of them
 	// mark the route down until the next success.
 	fails int
 	// lastSample is when the estimate last absorbed a success.
@@ -145,7 +145,7 @@ func (s *pathState) observeFailure() { s.fails++ }
 
 // down reports whether the route is out of contention: never successfully
 // probed, or failing consecutively past the threshold.
-func (s *pathState) down(failThreshold int) bool {
+func (s *pathState) down() bool {
 	return s.samples == 0 || s.fails >= failThreshold
 }
 
@@ -154,15 +154,13 @@ func (s *pathState) down(failThreshold int) bool {
 // estimator); past staleAfter without a fresh sample the score inflates
 // linearly with age, so a silent route decays out of first place instead
 // of freezing its last good estimate.
-func (s *pathState) score(now time.Time, staleAfter time.Duration, failThreshold int) float64 {
-	if s.down(failThreshold) {
+func (s *pathState) score(now time.Time, staleAfter time.Duration) float64 {
+	if s.down() {
 		return math.Inf(1)
 	}
 	base := s.srtt + 4*s.rttvar
-	if staleAfter > 0 {
-		if age := now.Sub(s.lastSample); age > staleAfter {
-			base *= 1 + float64(age-staleAfter)/float64(staleAfter)
-		}
+	if age := now.Sub(s.lastSample); age > staleAfter {
+		base *= 1 + float64(age-staleAfter)/float64(staleAfter)
 	}
 	return base
 }
@@ -178,10 +176,8 @@ func (s *pathState) effMbps(now time.Time, staleAfter time.Duration) float64 {
 		return 0
 	}
 	v := s.smoothedMbps
-	if staleAfter > 0 {
-		if age := now.Sub(s.lastBurst); age > staleAfter {
-			v /= 1 + float64(age-staleAfter)/float64(staleAfter)
-		}
+	if age := now.Sub(s.lastBurst); age > staleAfter {
+		v /= 1 + float64(age-staleAfter)/float64(staleAfter)
 	}
 	if v < mbpsFloor {
 		return 0

@@ -3,6 +3,7 @@ package pathmon
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +49,27 @@ func TestObjectiveParseRoundTrip(t *testing.T) {
 	}
 	if def := *new(Objective); def != ObjectiveLatency {
 		t.Errorf("zero-value objective = %v, want latency", def)
+	}
+}
+
+// TestThroughputObjectiveNeedsBursts: ranked by throughput without
+// bursts, every route scores alike and no challenger can ever clear the
+// switch margin, so New refuses the combination and names both fields.
+// Composite without bursts ranks by latency, so it stays allowed.
+func TestThroughputObjectiveNeedsBursts(t *testing.T) {
+	_, err := New(Config{Dest: "192.0.2.1:9", Objective: ObjectiveThroughput})
+	if err == nil || !strings.Contains(err.Error(), "Objective") || !strings.Contains(err.Error(), "BurstDuration") {
+		t.Fatalf("throughput objective without bursts: err = %v, want one naming Objective and BurstDuration", err)
+	}
+	for _, cfg := range []Config{
+		{Dest: "192.0.2.1:9", Objective: ObjectiveThroughput, BurstDuration: time.Second},
+		{Dest: "192.0.2.1:9", Objective: ObjectiveComposite},
+	} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New(%+v): %v", cfg, err)
+		}
+		_ = m.Close()
 	}
 }
 
@@ -180,7 +202,6 @@ func TestStaleMbpsDecaysOutOfFirstPlace(t *testing.T) {
 		Objective:     ObjectiveThroughput,
 		BurstDuration: 100 * time.Millisecond,
 		Interval:      time.Second,
-		StaleAfter:    3 * time.Second,
 	})
 	now := time.Unix(1000, 0)
 

@@ -22,6 +22,10 @@ type View struct {
 // A view created mid-flight starts unselected and adopts its initial
 // best on the next integrated round; creating it before Start avoids
 // the gap. Repeated calls for one objective share selection state.
+// Only bursts feed the throughput axis: on a monitor with BurstDuration
+// 0, a throughput view scores every route alike and never switches
+// (New refuses that objective as the monitor's own), and a composite
+// view ranks by latency.
 func (m *Monitor) View(obj Objective) *View {
 	m.mu.Lock()
 	defer m.mu.Unlock()

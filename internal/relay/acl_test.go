@@ -120,7 +120,7 @@ func TestRejectedCounterSeparateFromErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := startRelay(t, Config{ACL: acl, DialTimeout: 2 * time.Second})
+	r := startRelay(t, Config{ACL: acl})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 

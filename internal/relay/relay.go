@@ -38,8 +38,6 @@ type Config struct {
 	// Target is the fixed destination for forward mode ("" enables the
 	// CONNECT handshake instead).
 	Target string
-	// DialTimeout bounds each upstream dial attempt (default 10 s).
-	DialTimeout time.Duration
 	// DialRetries is how many extra upstream dial attempts follow a
 	// transient failure (connection refused, timeout) before the relay
 	// gives up (default 0: fail fast).
@@ -48,7 +46,7 @@ type Config struct {
 	// each attempt (default 50 ms).
 	DialRetryBackoff time.Duration
 	// IdleTimeout closes connections with no traffic in either direction
-	// (default 5 min; 0 disables).
+	// (default 5 min; negative disables).
 	IdleTimeout time.Duration
 	// BufferBytes caps the bytes each direction holds (default
 	// 256 KiB): the relay buffer of a split-TCP proxy. A direction
@@ -120,15 +118,15 @@ type Relay struct {
 	srv pipe.Server
 }
 
+// dialTimeout bounds each upstream dial attempt.
+const dialTimeout = 10 * time.Second
+
 // errACLRejected marks a CONNECT refusal so serveConn can count it in
 // Stats.Rejected rather than Stats.Errors.
 var errACLRejected = errors.New("relay: target forbidden by ACL")
 
 // New creates a relay on the listener. Close the relay to release it.
 func New(ln net.Listener, cfg Config) *Relay {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	if cfg.DialRetries < 0 {
 		cfg.DialRetries = 0
 	}
@@ -284,7 +282,7 @@ func (r *Relay) handle(down net.Conn) error {
 	var br *bufio.Reader
 	if target == "" {
 		// CONNECT handshake: "CONNECT host:port [TP=<ctx>]\n" -> "OK\n".
-		// The read deadline is the relay's IdleTimeout, not DialTimeout:
+		// The read deadline is the relay's IdleTimeout, not dialTimeout:
 		// a pooled pre-CONNECT socket legitimately sits quiet until its
 		// owner checks it out, and only then sends the preamble.
 		br = bufio.NewReaderSize(down, connectLineBytes)
@@ -430,7 +428,7 @@ func isTimeout(err error) bool {
 func (r *Relay) dialUpstream(ctx context.Context, target string) (net.Conn, error) {
 	backoff := r.cfg.DialRetryBackoff
 	for attempt := 0; ; attempt++ {
-		dialCtx, cancel := context.WithTimeout(ctx, r.cfg.DialTimeout)
+		dialCtx, cancel := context.WithTimeout(ctx, dialTimeout)
 		dialStart := time.Now()
 		up, err := r.cfg.Dialer.DialContext(dialCtx, "tcp", target)
 		cancel()

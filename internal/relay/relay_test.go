@@ -188,7 +188,7 @@ func TestConnectLineBounded(t *testing.T) {
 }
 
 func TestConnectModeDialFailure(t *testing.T) {
-	r := startRelay(t, Config{DialTimeout: time.Second})
+	r := startRelay(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	// Port 1 on localhost should refuse.
@@ -726,6 +726,61 @@ func (d *refuseDialer) DialContext(context.Context, string, string) (net.Conn, e
 	return nil, &net.OpError{Op: "dial", Err: syscall.ECONNREFUSED}
 }
 
+// stampDialer refuses every dial and records when each attempt began.
+type stampDialer struct {
+	mu    sync.Mutex
+	times []time.Time
+}
+
+func (d *stampDialer) DialContext(context.Context, string, string) (net.Conn, error) {
+	d.mu.Lock()
+	d.times = append(d.times, time.Now())
+	d.mu.Unlock()
+	return nil, &net.OpError{Op: "dial", Err: syscall.ECONNREFUSED}
+}
+
+// TestDialRetryBackoffSpacing: the first retry waits at least
+// DialRetryBackoff and the next at least twice that, so the configured
+// backoff, not the 50 ms default, spaces the schedule.
+func TestDialRetryBackoffSpacing(t *testing.T) {
+	d := &stampDialer{}
+	r := startRelay(t, Config{Dialer: d, DialRetries: 2, DialRetryBackoff: 150 * time.Millisecond})
+	conn, err := net.Dial("tcp", r.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "CONNECT 127.0.0.1:1\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return r.Stats().Errors.Load() == 1 })
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.times) != 3 {
+		t.Fatalf("%d dial attempts, want 3", len(d.times))
+	}
+	for i, want := range []time.Duration{150 * time.Millisecond, 300 * time.Millisecond} {
+		if gap := d.times[i+1].Sub(d.times[i]); gap < want {
+			t.Errorf("retry %d came %v after the last attempt, want at least %v", i+1, gap, want)
+		}
+	}
+}
+
+// TestIdleTimeoutSetting: an unset IdleTimeout takes the 5 min default,
+// and a negative one disables the timeout (New stores 0, which pipe reads
+// as no deadline).
+func TestIdleTimeoutSetting(t *testing.T) {
+	for _, c := range []struct{ set, want time.Duration }{
+		{0, 5 * time.Minute},
+		{-1, 0},
+		{time.Second, time.Second},
+	} {
+		if got := startRelay(t, Config{IdleTimeout: c.set}).cfg.IdleTimeout; got != c.want {
+			t.Errorf("IdleTimeout %v: New stored %v, want %v", c.set, got, c.want)
+		}
+	}
+}
+
 // TestDialRetryBackoffAbortsOnClose (regression): Close must interrupt a
 // handler parked in dial-retry backoff. Pre-fix, dialUpstream slept with
 // time.Sleep, so Close blocked on wg.Wait for the rest of the schedule
@@ -797,11 +852,11 @@ func TestDialRetryAbortsWhenClientHangsUp(t *testing.T) {
 
 // TestIdlePreconnectDoesNotBurnSlot (regression): a connected socket that
 // has not yet sent its CONNECT preamble — a gateway's warm pool leg —
-// must not consume a MaxConns slot, and must be tolerated for longer than
-// DialTimeout.
+// must not consume a MaxConns slot, and must be tolerated until the
+// relay's IdleTimeout (TestPreconnectDeadlineIsIdleTimeout pins how long).
 func TestIdlePreconnectDoesNotBurnSlot(t *testing.T) {
 	echo := echoServer(t)
-	r := startRelay(t, Config{MaxConns: 1, DialTimeout: 200 * time.Millisecond})
+	r := startRelay(t, Config{MaxConns: 1})
 
 	// A warm, idle, pre-CONNECT socket...
 	idle, err := net.Dial("tcp", r.Addr().String())
@@ -812,8 +867,8 @@ func TestIdlePreconnectDoesNotBurnSlot(t *testing.T) {
 	waitFor(t, func() bool { return r.Stats().Accepted.Load() == 1 })
 
 	// ...must leave the single MaxConns slot free for a real flow, and
-	// must itself survive past DialTimeout (pre-fix the preamble read
-	// deadline was DialTimeout, which would kill pooled sockets).
+	// must itself survive a quiet spell (pre-fix the preamble read
+	// deadline was the dial timeout, which would kill pooled sockets).
 	time.Sleep(300 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -835,6 +890,46 @@ func TestIdlePreconnectDoesNotBurnSlot(t *testing.T) {
 	}
 	if got := roundtrip(t, late, "late leg"); got != "late leg" {
 		t.Errorf("echo = %q", got)
+	}
+}
+
+// TestPreconnectDeadlineIsIdleTimeout (regression): the pre-CONNECT read
+// deadline is the relay's IdleTimeout, not the 10 s dial timeout. A warm
+// socket quiet for half the IdleTimeout still takes a late CONNECT, and
+// one that never sends a preamble is closed soon after the IdleTimeout.
+func TestPreconnectDeadlineIsIdleTimeout(t *testing.T) {
+	const idleTimeout = time.Second
+	echo := echoServer(t)
+	r := startRelay(t, Config{IdleTimeout: idleTimeout})
+
+	quiet, err := net.Dial("tcp", r.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	untouched, err := net.Dial("tcp", r.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer untouched.Close()
+	opened := time.Now()
+
+	time.Sleep(idleTimeout / 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	late, err := Connect(ctx, quiet, echo.Addr().String())
+	if err != nil {
+		t.Fatalf("late CONNECT %v into a %v IdleTimeout: %v", time.Since(opened), idleTimeout, err)
+	}
+	if got := roundtrip(t, late, "late leg"); got != "late leg" {
+		t.Errorf("echo = %q", got)
+	}
+
+	_ = untouched.SetReadDeadline(opened.Add(3 * time.Second))
+	_, err = untouched.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("untouched pre-CONNECT socket still open %v after it connected (IdleTimeout %v): read err %v",
+			time.Since(opened), idleTimeout, err)
 	}
 }
 
