@@ -16,7 +16,8 @@
 #   make check        all of the above
 #   make bench        data-plane benchmarks (pipe, relay, multipath, gateway
 #                     dial, chain dial, probe round) plus the simulator's
-#                     hot path (core.MeasurePair), set-up (the paper-scale
+#                     hot path (core.MeasurePair), its MPTCP runs
+#                     (core.MeasureMPTCP), set-up (the paper-scale
 #                     topology.Generate) and routing (building every BGP
 #                     route table, and warm router-path lookups)
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
@@ -97,7 +98,7 @@ fmt:
 check: fmt vet test race
 
 bench:
-	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair|TopologyGenerate|RoutesFor|RouterPath' -benchmem ./...
+	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair|MeasureMPTCP|TopologyGenerate|RoutesFor|RouterPath' -benchmem ./...
 
 # The alloc gate runs without -race (the race runtime adds allocations of
 # its own); the e2e runs with it.

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"cronets/internal/core"
-	"cronets/internal/mptcpsim"
 	"cronets/internal/tcpsim"
 	"cronets/internal/topology"
 )
@@ -51,7 +50,7 @@ type (
 	// Spec bounds a measurement by duration and/or bytes.
 	Spec = tcpsim.Spec
 	// Coupling selects MPTCP congestion coupling (LIA, OLIA, Uncoupled).
-	Coupling = mptcpsim.Coupling
+	Coupling = tcpsim.Coupling
 )
 
 // Path kinds (see PathKind).
@@ -64,9 +63,9 @@ const (
 
 // MPTCP couplings.
 const (
-	LIA       = mptcpsim.LIA
-	OLIA      = mptcpsim.OLIA
-	Uncoupled = mptcpsim.Uncoupled
+	LIA       = tcpsim.LIA
+	OLIA      = tcpsim.OLIA
+	Uncoupled = tcpsim.Uncoupled
 )
 
 // New builds a CRONet over a generated Internet.
@@ -88,6 +87,6 @@ func GenerateInternet(cfg Topology) (*Internet, error) { return topology.Generat
 // full-control variant; this helper uses the paper's defaults (OLIA
 // coupling, Reno subflow decrease, 100 Mbps NIC).
 func MeasureMPTCP(cn *CRONet, rng *rand.Rand, src, dst Host, dcs []string,
-	spec Spec, at time.Duration) (core.MPTCPResult, error) {
+	spec Spec, at time.Duration) (tcpsim.MPTCPResult, error) {
 	return cn.MeasureMPTCP(rng, src, dst, dcs, OLIA, tcpsim.Reno, 100, spec, at)
 }

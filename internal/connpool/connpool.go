@@ -49,6 +49,18 @@ const (
 	// warmDialTimeout bounds each warm dial, as the gateway bounds a
 	// cold one.
 	warmDialTimeout = 10 * time.Second
+	// topK is how many of the top-ranked usable relays stay warmed. The
+	// committed best path's relay is always warmed, pinned or ranked.
+	topK = 2
+	// idleTTL is the maximum idle age of a pooled connection before the
+	// pool retires it. Idle age is measured from the moment the
+	// connection was parked in the pool (not from when the dial started),
+	// and a checkout permanently removes the connection from the pool —
+	// there is no put-back path, so a connection idles exactly once and
+	// idle age equals pool-resident age. It stays under the relay fleet's
+	// pre-CONNECT tolerance (the relay side allows its IdleTimeout, 5 min
+	// by default).
+	idleTTL = 60 * time.Second
 )
 
 // Config parameterizes a Pool.
@@ -56,19 +68,6 @@ type Config struct {
 	// SizePerRelay is the warm-connection target per warmed relay
 	// (default 2).
 	SizePerRelay int
-	// TopK is how many of the top-ranked usable relays stay warmed
-	// (default 2). The committed best path's relay is always warmed,
-	// pinned or ranked.
-	TopK int
-	// IdleTTL is the maximum idle age of a pooled connection before the
-	// pool retires it (default 60 s). Idle age is measured from the
-	// moment the connection was parked in the pool (not from when the
-	// dial started), and a checkout permanently removes the connection
-	// from the pool — there is no put-back path, so a connection idles
-	// exactly once and idle age equals pool-resident age. Keep the TTL
-	// under the relay fleet's pre-CONNECT tolerance (the relay side
-	// allows its IdleTimeout, 5 min by default).
-	IdleTTL time.Duration
 	// Ranker supplies relay rankings (usually the *pathmon.Monitor);
 	// required.
 	Ranker Ranker
@@ -105,7 +104,7 @@ type Pool struct {
 }
 
 // pooledConn is one warm socket plus the instant it was parked in the
-// pool, from which IdleTTL expiry is measured. Checkouts remove the
+// pool, from which idleTTL expiry is measured. Checkouts remove the
 // connection for good (flows own their sockets; nothing is put back), so
 // time-since-parkedAt is both the idle age and the total pool-resident
 // age — one timestamp serves both readings.
@@ -128,12 +127,6 @@ func New(cfg Config) *Pool {
 func newPool(cfg Config) *Pool {
 	if cfg.SizePerRelay <= 0 {
 		cfg.SizePerRelay = 2
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 2
-	}
-	if cfg.IdleTTL <= 0 {
-		cfg.IdleTTL = 60 * time.Second
 	}
 	if cfg.Dialer == nil {
 		cfg.Dialer = &net.Dialer{}
@@ -183,7 +176,7 @@ func (p *Pool) Get(relayAddr string) (net.Conn, bool) {
 		p.idle[relayAddr] = stack[:len(stack)-1]
 		p.mu.Unlock()
 
-		if p.now().Sub(pc.parkedAt) > p.cfg.IdleTTL || !alive(pc.conn) {
+		if p.now().Sub(pc.parkedAt) > idleTTL || !alive(pc.conn) {
 			_ = pc.conn.Close()
 			p.expired.Inc()
 			continue
@@ -286,7 +279,7 @@ func (p *Pool) Fill() {
 		keep := stack[:0]
 		_, wanted := targets[addr]
 		for _, pc := range stack {
-			if !wanted || now.Sub(pc.parkedAt) > p.cfg.IdleTTL {
+			if !wanted || now.Sub(pc.parkedAt) > idleTTL {
 				retire = append(retire, pc)
 			} else {
 				keep = append(keep, pc)
@@ -374,7 +367,7 @@ func (p *Pool) targets() map[string]int {
 	ranked := 0
 	seen := make(map[string]bool)
 	for _, st := range p.cfg.Ranker.Ranked() {
-		if ranked >= p.cfg.TopK {
+		if ranked >= topK {
 			break
 		}
 		if st.Route.IsDirect() || st.Down {
@@ -384,7 +377,7 @@ func (p *Pool) targets() map[string]int {
 			// Routes sharing a first hop (a single-hop path and the chains
 			// extending it, or two chains through the same entry relay)
 			// warm one endpoint; don't let the duplicate burn a second
-			// TopK slot.
+			// topK slot.
 			continue
 		}
 		seen[st.Route.First()] = true

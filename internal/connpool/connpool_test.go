@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,18 +187,24 @@ func TestMissOnEmptyPool(t *testing.T) {
 func TestExpiryRetiresOldConns(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	p := New(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1,
-		IdleTTL: 50 * time.Millisecond, Obs: reg})
+	p := newPool(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1, Obs: reg})
+	// The filler reads the clock, so it starts, as New starts it, only
+	// once the skewable clock is in place.
+	var skew atomic.Int64
+	p.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	p.wg.Add(1)
+	go p.filler()
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 1)
 
 	// The filler must rotate conns out at TTL and replace them.
+	skew.Store(int64(idleTTL + time.Second))
 	deadline := time.Now().Add(5 * time.Second)
 	for counter(reg, "cronets_connpool_expired_total") == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if counter(reg, "cronets_connpool_expired_total") == 0 {
-		t.Fatal("no conns expired past IdleTTL")
+		t.Fatal("no conns expired past idleTTL")
 	}
 	waitIdle(t, p, srv.addr(), 1)
 }
@@ -206,17 +213,18 @@ func TestExpiryAtCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
 	// No background filler: only Get's own TTL check can retire the conn.
-	p := newPool(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1,
-		IdleTTL: 30 * time.Millisecond, Obs: reg})
+	p := newPool(Config{Ranker: bestRanker(srv.addr()), SizePerRelay: 1, Obs: reg})
 	defer p.Close()
+	now := time.Unix(1000, 0)
+	p.now = func() time.Time { return now }
 	p.Fill()
 	if got := p.Idle(srv.addr()); got != 1 {
 		t.Fatalf("idle = %d after fill, want 1", got)
 	}
 
-	time.Sleep(60 * time.Millisecond)
+	now = now.Add(idleTTL + time.Second)
 	if _, ok := p.Get(srv.addr()); ok {
-		t.Fatal("checkout handed out a conn past its IdleTTL")
+		t.Fatal("checkout handed out a conn past its idleTTL")
 	}
 	if got := counter(reg, "cronets_connpool_expired_total"); got != 1 {
 		t.Errorf("expired = %d, want 1", got)
@@ -249,20 +257,23 @@ func TestDeadConnDetectedAtCheckout(t *testing.T) {
 func TestRankingDrivenResize(t *testing.T) {
 	srvA := newAcceptServer(t)
 	srvB := newAcceptServer(t)
+	srvC := newAcceptServer(t)
 	rk := &fakeRanker{}
 	rk.set(pathmon.MakeRoute(srvA.addr()), true, []pathmon.RouteStatus{
 		relayStatus(srvA.addr(), false),
 		relayStatus(srvB.addr(), false),
+		relayStatus(srvC.addr(), false),
 	})
-	p := New(Config{Ranker: rk, SizePerRelay: 2, TopK: 1})
+	p := New(Config{Ranker: rk, SizePerRelay: 2})
 	defer p.Close()
 
-	// Only the top-1 relay (A) is warmed.
+	// Only the top-K relays (A and B) are warmed.
 	waitIdle(t, p, srvA.addr(), 2)
-	waitIdle(t, p, srvB.addr(), 0)
+	waitIdle(t, p, srvB.addr(), 2)
+	waitIdle(t, p, srvC.addr(), 0)
 
-	// The ranking flips: B leads, A demoted out of the top-K. The
-	// subscription wakes the filler — A's idle conns drain, B warms — at
+	// The ranking flips: C leads, A demoted out of the top-K. The
+	// subscription wakes the filler — A's idle conns drain, C warms — at
 	// once, not on the next fillInterval tick. The flip lands just after
 	// a tick's Fill has read the ranking (nothing else runs Fill here),
 	// so a filler that waited for its tick would take about fillInterval.
@@ -274,14 +285,15 @@ func TestRankingDrivenResize(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	flipped := time.Now()
-	rk.set(pathmon.MakeRoute(srvB.addr()), true, []pathmon.RouteStatus{
+	rk.set(pathmon.MakeRoute(srvC.addr()), true, []pathmon.RouteStatus{
+		relayStatus(srvC.addr(), false),
 		relayStatus(srvB.addr(), false),
 		relayStatus(srvA.addr(), false),
 	})
-	for p.Idle(srvB.addr()) != 2 || p.Idle(srvA.addr()) != 0 {
+	for p.Idle(srvC.addr()) != 2 || p.Idle(srvA.addr()) != 0 {
 		if time.Since(flipped) > fillInterval/2 {
-			t.Fatalf("%v after the flip: idle(B) = %d, idle(A) = %d, want 2 and 0 (the filler waited for its tick)",
-				time.Since(flipped), p.Idle(srvB.addr()), p.Idle(srvA.addr()))
+			t.Fatalf("%v after the flip: idle(C) = %d, idle(A) = %d, want 2 and 0 (the filler waited for its tick)",
+				time.Since(flipped), p.Idle(srvC.addr()), p.Idle(srvA.addr()))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -381,7 +393,7 @@ func (d *slowClockDialer) DialContext(ctx context.Context, network, addr string)
 	return d.inner.DialContext(ctx, network, addr)
 }
 
-// TestIdleTTLMeasuredFromParkTime pins the IdleTTL semantics: expiry is
+// TestIdleTTLMeasuredFromParkTime pins the idleTTL semantics: expiry is
 // measured from the instant a connection is parked in the pool, not from
 // when its warm dial started — a slow dial must not hand the pool a
 // connection that is already half-expired. (Checkouts never return
@@ -394,7 +406,7 @@ func TestIdleTTLMeasuredFromParkTime(t *testing.T) {
 	now := time.Unix(1000, 0)
 	adv := func(d time.Duration) { now = now.Add(d) }
 	p := newPool(Config{
-		Ranker: bestRanker(srv.addr()), SizePerRelay: 1, IdleTTL: time.Minute,
+		Ranker: bestRanker(srv.addr()), SizePerRelay: 1,
 		Dialer: &slowClockDialer{inner: &net.Dialer{}, advance: adv, delay: 45 * time.Second},
 		Obs:    reg,
 	})
@@ -421,7 +433,7 @@ func TestIdleTTLMeasuredFromParkTime(t *testing.T) {
 	p.Fill()
 	adv(61 * time.Second)
 	if _, ok := p.Get(srv.addr()); ok {
-		t.Fatal("checkout handed out a conn idle past IdleTTL")
+		t.Fatal("checkout handed out a conn idle past idleTTL")
 	}
 	if got := counter(reg, "cronets_connpool_expired_total"); got != 1 {
 		t.Errorf("expired = %d, want 1", got)

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"time"
 
-	"cronets/internal/mptcpsim"
 	"cronets/internal/netsim"
 	"cronets/internal/tcpsim"
 	"cronets/internal/topology"
@@ -318,44 +317,36 @@ func (c *CRONet) MeasurePair(rng *rand.Rand, src, dst topology.Host, dcs []strin
 	return pr, nil
 }
 
-// MPTCPResult reports an MPTCP path-selection run alongside the reference
-// measurements of the paper's Figure 12/13 bars.
-type MPTCPResult struct {
-	// TotalMbps is the aggregate MPTCP throughput.
-	TotalMbps float64
-	// SubflowMbps is the per-path breakdown; index 0 is the direct path,
-	// then one entry per overlay DC.
-	SubflowMbps []float64
-}
-
 // MeasureMPTCP runs one MPTCP connection across the direct path plus one
 // subflow per overlay data center, with the given congestion coupling. The
 // sender never probes paths: the coupled controller discovers the best one.
+// The result's SubflowMbps holds the direct path first, then one entry per
+// overlay DC.
 func (c *CRONet) MeasureMPTCP(rng *rand.Rand, src, dst topology.Host, dcs []string,
-	coupling mptcpsim.Coupling, alg tcpsim.Algorithm, nicMbps float64,
-	spec tcpsim.Spec, at time.Duration) (MPTCPResult, error) {
+	coupling tcpsim.Coupling, alg tcpsim.Algorithm, nicMbps float64,
+	spec tcpsim.Spec, at time.Duration) (tcpsim.MPTCPResult, error) {
 
 	direct, err := c.in.RouterPath(src, dst)
 	if err != nil {
-		return MPTCPResult{}, err
+		return tcpsim.MPTCPResult{}, err
 	}
 	dpf, err := c.pathFunc(direct, at)
 	if err != nil {
-		return MPTCPResult{}, err
+		return tcpsim.MPTCPResult{}, err
 	}
 	paths := []tcpsim.PathFunc{dpf}
 	for _, dc := range dcs {
 		route, err := c.in.OverlayRoute(src, dst, dc)
 		if err != nil {
-			return MPTCPResult{}, err
+			return tcpsim.MPTCPResult{}, err
 		}
 		seg1, err := c.pathFunc(route.ToDC, at)
 		if err != nil {
-			return MPTCPResult{}, err
+			return tcpsim.MPTCPResult{}, err
 		}
 		seg2, err := c.pathFunc(route.FromDC, at)
 		if err != nil {
-			return MPTCPResult{}, err
+			return tcpsim.MPTCPResult{}, err
 		}
 		paths = append(paths, tcpsim.ConcatPath(seg1, seg2, c.cfg.RelayOverhead))
 	}
@@ -366,17 +357,17 @@ func (c *CRONet) MeasureMPTCP(rng *rand.Rand, src, dst topology.Host, dcs []stri
 	// paper's Section VI-C scenario where users who pay for the overlay
 	// bandwidth provision buffers for the aggregate of all subflows.
 	connRwnd := 2 * flow.MaxCwnd
-	if coupling == mptcpsim.Uncoupled {
+	if coupling == tcpsim.Uncoupled {
 		connRwnd = 0
 	}
-	res, err := mptcpsim.Run(rng, paths, mptcpsim.Config{
+	res, err := tcpsim.RunMPTCP(rng, paths, tcpsim.MPTCPConfig{
 		Flow:             flow,
 		Coupling:         coupling,
 		SharedAccessMbps: nicMbps,
 		ConnRwndPkts:     connRwnd,
 	}, spec)
 	if err != nil {
-		return MPTCPResult{}, fmt.Errorf("core: mptcp run: %w", err)
+		return tcpsim.MPTCPResult{}, fmt.Errorf("core: mptcp run: %w", err)
 	}
-	return MPTCPResult{TotalMbps: res.TotalThroughputMbps, SubflowMbps: res.SubflowMbps}, nil
+	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cronets/internal/core"
-	"cronets/internal/mptcpsim"
 	"cronets/internal/stats"
 	"cronets/internal/tcpsim"
 	"cronets/internal/topology"
@@ -22,7 +21,7 @@ type MPTCPConfig struct {
 	RunLength  time.Duration
 	// Coupling selects the congestion coupling (OLIA for Figure 12,
 	// Uncoupled for Figure 13).
-	Coupling mptcpsim.Coupling
+	Coupling tcpsim.Coupling
 	// Alg is the per-subflow algorithm (Cubic for the uncoupled runs).
 	Alg tcpsim.Algorithm
 	// NICMbps is the endpoint NIC all subflows share.
@@ -36,7 +35,7 @@ func DefaultMPTCPConfig() MPTCPConfig {
 		Iterations: 5,
 		Interval:   6 * time.Hour,
 		RunLength:  time.Minute,
-		Coupling:   mptcpsim.OLIA,
+		Coupling:   tcpsim.OLIA,
 		Alg:        tcpsim.Reno,
 		NICMbps:    100,
 	}
@@ -45,7 +44,7 @@ func DefaultMPTCPConfig() MPTCPConfig {
 // UncoupledMPTCPConfig returns the Figure 13 setup (per-subflow CUBIC).
 func UncoupledMPTCPConfig() MPTCPConfig {
 	cfg := DefaultMPTCPConfig()
-	cfg.Coupling = mptcpsim.Uncoupled
+	cfg.Coupling = tcpsim.Uncoupled
 	cfg.Alg = tcpsim.Cubic
 	return cfg
 }

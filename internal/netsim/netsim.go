@@ -3,8 +3,7 @@
 // capacity, background utilization, and loss, plus time-varying congestion
 // events. Path-level metrics (base RTT, queueing delay, composed loss rate,
 // available bandwidth) are derived from the links a path traverses; the TCP
-// and MPTCP simulators in internal/tcpsim and internal/mptcpsim consume those
-// metrics.
+// and MPTCP simulators in internal/tcpsim consume those metrics.
 //
 // The model is a fluid one: individual background packets are not simulated.
 // Each link carries a background utilization in [0, 1); utilization induces

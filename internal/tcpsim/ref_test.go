@@ -131,10 +131,10 @@ func refRunSplit(rng *rand.Rand, first, second PathFunc, cfg SplitConfig, spec S
 }
 
 // refSimulateRound is the path half of a round written out on its own,
-// the reference for SimulateRound (one step of a throwaway flow).
-// SimulateRound must return the same RoundOutcome and draw the same
+// the reference for simulateRound (one step of a throwaway flow).
+// simulateRound must return the same roundOutcome and draw the same
 // random numbers.
-func refSimulateRound(rng *rand.Rand, m netsim.Metrics, cfg Config, sendPkts float64) RoundOutcome {
+func refSimulateRound(rng *rand.Rand, m netsim.Metrics, cfg Config, sendPkts float64) roundOutcome {
 	mssBits := float64(cfg.MSSBytes) * 8
 	baseRTT := m.BaseRTT + m.QueueDelayRTT
 	if baseRTT <= 0 {
@@ -166,7 +166,7 @@ func refSimulateRound(rng *rand.Rand, m netsim.Metrics, cfg Config, sendPkts flo
 	if delivered < 0 {
 		delivered = 0
 	}
-	return RoundOutcome{Sent: send + congLost, Delivered: delivered, Lost: lost, RTT: rtt}
+	return roundOutcome{sent: send + congLost, delivered: delivered, lost: lost, rtt: rtt, timeout: delivered == 0}
 }
 
 // randMetrics draws path metrics spanning clean to very lossy, with RTTs
@@ -265,7 +265,7 @@ func TestRunSplitMatchesReference(t *testing.T) {
 
 // TestSimulateRoundMatchesReference feeds random windows and paths,
 // including windows below one segment, a bandwidth-delay product below
-// one segment and loss rates of exactly 0 and 1, through SimulateRound and
+// one segment and loss rates of exactly 0 and 1, through simulateRound and
 // the reference. One shared seed per side checks that both draw the same
 // random numbers in the same order.
 func TestSimulateRoundMatchesReference(t *testing.T) {
@@ -297,13 +297,13 @@ func TestSimulateRoundMatchesReference(t *testing.T) {
 		default:
 			send = r.Float64() * 4096
 		}
-		got := SimulateRound(gotRng, m, cfg, send)
+		got := simulateRound(gotRng, m, cfg, send)
 		want := refSimulateRound(wantRng, m, cfg, send)
 		if got != want {
 			t.Fatalf("input %d (m %+v, send %v):\n got  %+v\n want %+v", i, m, send, got, want)
 		}
 	}
 	if gotRng.Int63() != wantRng.Int63() {
-		t.Fatal("SimulateRound drew a different number of random values than the reference")
+		t.Fatal("simulateRound drew a different number of random values than the reference")
 	}
 }

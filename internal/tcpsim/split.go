@@ -1,11 +1,8 @@
 package tcpsim
 
 import (
-	"math"
 	"math/rand"
 	"time"
-
-	"cronets/internal/netsim"
 )
 
 // SplitConfig parameterizes a split-TCP (proxy) run: the overlay node
@@ -43,29 +40,4 @@ func rtoFor(rtt, minRTO time.Duration) time.Duration {
 		rto = minRTO
 	}
 	return rto
-}
-
-// RoundOutcome reports what one simulated RTT round did, for callers (the
-// MPTCP simulator) that drive their own window dynamics.
-type RoundOutcome struct {
-	// Sent is the number of segments transmitted (including ones dropped
-	// at the bottleneck buffer).
-	Sent float64
-	// Delivered is the number of segments acknowledged.
-	Delivered float64
-	// Lost is the number of segments lost (random plus buffer overflow).
-	Lost float64
-	// RTT is the effective round-trip time, including self-queueing.
-	RTT time.Duration
-}
-
-// SimulateRound performs the path half of a TCP round — self-queueing,
-// buffer-overflow drops and random loss — for a window of sendPkts segments
-// over metrics m. It is one step of a throwaway flow, so no caller's
-// congestion-control state changes. MPTCP subflows use it with their own
-// coupled window rules.
-func SimulateRound(rng *rand.Rand, m netsim.Metrics, cfg Config, sendPkts float64) RoundOutcome {
-	f := flow{cfg: cfg, cwnd: sendPkts, ssth: math.Inf(1)}
-	out := f.step(rng, m, 0, -1)
-	return RoundOutcome{Sent: out.sent, Delivered: out.delivered, Lost: out.lost, RTT: out.rtt}
 }

@@ -11,6 +11,10 @@
 // analysis is built on (Mathis et al.: BW ~ MSS/(RTT*sqrt(p))), which is
 // what makes split-TCP at an overlay node profitable: halving the RTT seen
 // by each congestion-control loop roughly doubles the achievable rate.
+//
+// The same flow carries split-TCP cascades (RunSplitChain) and the subflows
+// of a Multipath TCP connection (RunMPTCP), whose congestion avoidance is
+// coupled across paths (LIA, OLIA) or not.
 package tcpsim
 
 import (

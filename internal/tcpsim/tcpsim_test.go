@@ -242,15 +242,15 @@ func TestSimulateRoundConservation(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		send := float64(1 + rng.Intn(5000))
 		m := metrics(50, rng.Float64()*0.05, 50)
-		out := SimulateRound(rng, m, cfg, send)
-		if out.Delivered < 0 || out.Lost < 0 {
+		out := simulateRound(rng, m, cfg, send)
+		if out.delivered < 0 || out.lost < 0 {
 			t.Fatalf("negative counts: %+v", out)
 		}
-		if math.Abs(out.Delivered+out.Lost-out.Sent) > 1e-6 {
+		if math.Abs(out.delivered+out.lost-out.sent) > 1e-6 {
 			t.Fatalf("delivered+lost != sent: %+v", out)
 		}
-		if out.RTT < m.BaseRTT {
-			t.Fatalf("RTT %v below base %v", out.RTT, m.BaseRTT)
+		if out.rtt < m.BaseRTT {
+			t.Fatalf("RTT %v below base %v", out.rtt, m.BaseRTT)
 		}
 	}
 }
