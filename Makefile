@@ -22,10 +22,12 @@
 #                     route table, and warm router-path lookups)
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
-#   make bench-smoke  data-plane allocation gate: the chain failover e2e
-#                     under -race, the established-chain zero-allocation
-#                     check, and the check that a spliced bulk flow
-#                     allocates nothing per chunk
+#   make bench-smoke  allocation and footprint gate: the chain failover
+#                     e2e under -race, the established-chain zero-allocation
+#                     check, the check that a spliced bulk flow allocates
+#                     nothing per chunk, the check that recording a flow
+#                     event allocates nothing, and the resident-memory
+#                     checks on a full event ring and on dropped routes
 #   make benchmark-smoke  the repository benchmark's short smoke tests (its
 #                     own module under benchmark/): flows_1hop's echo check
 #                     and sim_reallife's pinned seed-42 result digest
@@ -109,12 +111,16 @@ trace-smoke:
 # Fails if chain dial allocates on the established-flow splice path: once
 # the hop-by-hop preamble completes, a chained flow must be the same
 # zero-alloc forwarding as a single hop. Fails too if a bulk direction
-# that moved to splice(2) allocates per chunk. The alloc checks run
+# that moved to splice(2) allocates per chunk, if recording a flow event
+# allocates, if a full event ring retains more than 40 KB, or if dropped
+# routes leave live heap behind. The alloc and footprint checks run
 # without -race (the race runtime adds allocations of its own).
 bench-smoke:
 	$(GO) test -race -run TestChainFailoverEndToEnd .
 	$(GO) test -run TestChainSpliceAllocs ./internal/chain/
 	$(GO) test -run TestSpliceAllocs ./internal/pipe/
+	$(GO) test -run 'TestScopeEventAllocs|TestEventRingFootprint' ./internal/obs/
+	$(GO) test -run TestMakeRouteRetainsNothing ./internal/pathmon/
 
 # The benchmark is a separate Go module, so the root ./... never reaches it.
 benchmark-smoke:

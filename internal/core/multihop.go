@@ -18,14 +18,11 @@ type MultiHopMeasurement struct {
 	DCs []string
 	// Split is the three-segment split-TCP measurement.
 	Split Measurement
-	// Plain is the single-loop tunnel over the whole detour, for contrast.
-	Plain Measurement
 }
 
-// MeasureTwoHop measures the two-hop overlay src -> dc1 -> dc2 -> dst in
-// both split (per-segment loops) and plain (one end-to-end loop)
-// configurations. The middle segment rides the provider's private
-// backbone.
+// MeasureTwoHop measures the two-hop split overlay src -> dc1 -> dc2 ->
+// dst, one congestion-control loop per segment. The middle segment rides
+// the provider's private backbone.
 func (c *CRONet) MeasureTwoHop(rng *rand.Rand, src, dst topology.Host, dc1, dc2 string,
 	spec tcpsim.Spec, at time.Duration) (MultiHopMeasurement, error) {
 
@@ -65,28 +62,14 @@ func (c *CRONet) MeasureTwoHop(rng *rand.Rand, src, dst topology.Host, dc1, dc2 
 		return MultiHopMeasurement{}, err
 	}
 
-	out := MultiHopMeasurement{DCs: []string{dc1, dc2}}
-
 	split, err := tcpsim.RunSplitChain(rng, []tcpsim.PathFunc{seg1, seg2, seg3},
 		tcpsim.SplitConfig{Flow: c.cfg.Flow, RelayBufferBytes: c.cfg.RelayBufferBytes}, spec)
 	if err != nil {
 		return MultiHopMeasurement{}, fmt.Errorf("core: two-hop split via %s,%s: %w", dc1, dc2, err)
 	}
-	out.Split = Measurement{Kind: SplitOverlay, DC: dc1 + "+" + dc2,
-		ThroughputMbps: split.ThroughputMbps, RetransRate: split.RetransRate, AvgRTT: split.AvgRTT}
-
-	// Plain: one loop over the full detour, paying both relays' overhead
-	// and the tunnel header once.
-	tunnelFlow := c.cfg.Flow
-	if tunnelFlow.MSSBytes > c.cfg.TunnelHeaderBytes {
-		tunnelFlow.MSSBytes -= c.cfg.TunnelHeaderBytes
-	}
-	whole := tcpsim.ConcatPath(tcpsim.ConcatPath(seg1, seg2, c.cfg.RelayOverhead), seg3, c.cfg.RelayOverhead)
-	plain, err := tcpsim.Run(rng, whole, tunnelFlow, spec)
-	if err != nil {
-		return MultiHopMeasurement{}, fmt.Errorf("core: two-hop tunnel via %s,%s: %w", dc1, dc2, err)
-	}
-	out.Plain = Measurement{Kind: Overlay, DC: dc1 + "+" + dc2,
-		ThroughputMbps: plain.ThroughputMbps, RetransRate: plain.RetransRate, AvgRTT: plain.AvgRTT}
-	return out, nil
+	return MultiHopMeasurement{
+		DCs: []string{dc1, dc2},
+		Split: Measurement{Kind: SplitOverlay, DC: dc1 + "+" + dc2,
+			ThroughputMbps: split.ThroughputMbps, RetransRate: split.RetransRate, AvgRTT: split.AvgRTT},
+	}, nil
 }

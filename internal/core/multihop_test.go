@@ -17,8 +17,8 @@ func TestMeasureTwoHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Split.ThroughputMbps <= 0 || m.Plain.ThroughputMbps <= 0 {
-		t.Errorf("two-hop throughputs: %+v", m)
+	if m.Split.ThroughputMbps <= 0 {
+		t.Errorf("two-hop throughput: %+v", m)
 	}
 	if len(m.DCs) != 2 {
 		t.Errorf("DCs = %v", m.DCs)
@@ -73,11 +73,10 @@ func TestTwoHopSplitComparable(t *testing.T) {
 // twoHopGoldenDigest pins MeasureTwoHop's results for the runs of
 // TestMeasureTwoHopGolden; like goldenDigest, only a deliberate model change
 // may re-record it.
-const twoHopGoldenDigest = "eca478ec3ed046a5"
+const twoHopGoldenDigest = "5067c162dd6504ee"
 
-// TestMeasureTwoHopGolden pins MeasureTwoHop's results (the split chain,
-// then the plain tunnel) bit for bit on fixed (server, client, DC pair,
-// seed, start time) runs.
+// TestMeasureTwoHopGolden pins MeasureTwoHop's split-chain results bit
+// for bit on fixed (server, client, DC pair, seed, start time) runs.
 func TestMeasureTwoHopGolden(t *testing.T) {
 	in, cn := testNet(t)
 	runs := []struct {
@@ -98,7 +97,6 @@ func TestMeasureTwoHopGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		vs = appendMeasurement(vs, m.Split)
-		vs = appendMeasurement(vs, m.Plain)
 	}
 	if got := digest(vs); got != twoHopGoldenDigest {
 		t.Errorf("two-hop digest = %s, want %s", got, twoHopGoldenDigest)

@@ -74,8 +74,9 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 	case modeEcho:
-		frame := pipe.Get(probeSize)
-		defer pipe.Put(frame)
+		// Not a pool buffer: the smallest pool class is 4 KiB, held for
+		// the life of the probe connection to carry 16 B frames.
+		frame := make([]byte, probeSize)
 		for {
 			if _, err := io.ReadFull(conn, frame); err != nil {
 				return

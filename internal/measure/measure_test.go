@@ -81,6 +81,25 @@ func TestProbeRTTDefaultCount(t *testing.T) {
 	}
 }
 
+// TestEchoHoldsNoPoolBuffer: an open echo session takes no buffer from
+// the pool, whose smallest class is 4 KiB, to carry its 16 B frames.
+func TestEchoHoldsNoPoolBuffer(t *testing.T) {
+	s := startServer(t)
+	base := pipe.Stats().BytesInUse
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The first probe's echo proves the server is in its echo loop.
+	if _, err := ProbeRTTContext(context.Background(), conn, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := pipe.Stats().BytesInUse - base; got != 0 {
+		t.Fatalf("an open echo session holds %d pool bytes, want 0", got)
+	}
+}
+
 func TestServerCloseUnblocksServe(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 )
@@ -91,7 +92,7 @@ func ParseEventType(name string) (EventType, bool) {
 	return "", false
 }
 
-// Event is one entry in the flow-event ring.
+// Event is one entry in the flow-event ring, as Snapshot returns it.
 type Event struct {
 	Time      time.Time `json:"time"`
 	Component string    `json:"component"`
@@ -105,19 +106,42 @@ const DefaultEventCapacity = 1024
 // EventRing is a fixed-capacity ring buffer of flow events. Recording is
 // cheap (one mutexed slot write); the ring overwrites oldest-first. A nil
 // *EventRing is a valid no-op sink.
+//
+// The ring stores each event as a 32 B slot with one pointer, not as an
+// Event (72 B, four pointers): every registry holds a full ring for its
+// whole life, and the garbage collector scans it on every cycle.
 type EventRing struct {
 	mu    sync.Mutex
-	buf   []Event
+	buf   []slot
 	next  int
 	total uint64
+	// names holds every component and type name the ring has recorded,
+	// in first-seen order; slots index it.
+	names []string
+	// spill holds the component and type of each slot whose names did
+	// not fit in names (index spilled), keyed by slot position.
+	spill map[int]Event
 }
+
+// slot is one stored event: the time in Unix nanoseconds, the detail,
+// and the indexes in EventRing.names of its component and type name.
+type slot struct {
+	at        int64
+	detail    string
+	comp, typ uint8
+}
+
+// spilled is the name index of a slot whose names are in EventRing.spill,
+// so that a ring keeps every event exact however many distinct names
+// reach it.
+const spilled = math.MaxUint8
 
 // NewEventRing creates a ring holding up to capacity events (minimum 1).
 func NewEventRing(capacity int) *EventRing {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &EventRing{buf: make([]Event, 0, capacity)}
+	return &EventRing{buf: make([]slot, 0, capacity)}
 }
 
 // Record appends an event, overwriting the oldest once full. No-op on nil.
@@ -125,16 +149,40 @@ func (r *EventRing) Record(component string, t EventType, detail string) {
 	if r == nil {
 		return
 	}
-	e := Event{Time: time.Now(), Component: component, Type: t, Detail: detail}
+	at := time.Now().UnixNano()
 	r.mu.Lock()
+	i := r.next
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
+		r.buf = r.buf[:i+1]
+	} else if r.spill != nil {
+		delete(r.spill, i)
 	}
-	r.next = (r.next + 1) % cap(r.buf)
+	s := slot{at: at, detail: detail, comp: r.nameIndex(component), typ: r.nameIndex(string(t))}
+	if s.comp == spilled || s.typ == spilled {
+		if r.spill == nil {
+			r.spill = make(map[int]Event)
+		}
+		r.spill[i] = Event{Component: component, Type: t}
+	}
+	r.buf[i] = s
+	r.next = (i + 1) % cap(r.buf)
 	r.total++
 	r.mu.Unlock()
+}
+
+// nameIndex returns name's index in r.names, adding it on first sight,
+// or spilled when the table is full. Caller holds r.mu.
+func (r *EventRing) nameIndex(name string) uint8 {
+	for i, n := range r.names {
+		if n == name {
+			return uint8(i)
+		}
+	}
+	if len(r.names) == spilled {
+		return spilled
+	}
+	r.names = append(r.names, name)
+	return uint8(len(r.names) - 1)
 }
 
 // Snapshot returns the buffered events, oldest first.
@@ -145,11 +193,20 @@ func (r *EventRing) Snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.buf))
+	start := 0
 	if len(r.buf) == cap(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
+		start = r.next
+	}
+	for k := range r.buf {
+		i := (start + k) % len(r.buf)
+		s := r.buf[i]
+		e := Event{Time: time.Unix(0, s.at), Detail: s.detail}
+		if n, ok := r.spill[i]; ok {
+			e.Component, e.Type = n.Component, n.Type
+		} else {
+			e.Component, e.Type = r.names[s.comp], EventType(r.names[s.typ])
+		}
+		out = append(out, e)
 	}
 	return out
 }
@@ -192,7 +249,10 @@ func (s *Scope) Event(t EventType, detail string) {
 		return
 	}
 	s.ring.Record(s.component, t, detail)
-	s.log.Debug("flow event", "type", string(t), "detail", detail)
+	// Checked first: a disabled Debug call still boxes its arguments.
+	if s.log.Enabled(context.Background(), slog.LevelDebug) {
+		s.log.Debug("flow event", "type", string(t), "detail", detail)
+	}
 }
 
 // Logger returns the scope's component-tagged logger. On a nil scope it

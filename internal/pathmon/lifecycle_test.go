@@ -39,7 +39,7 @@ func (refuseDialer) DialContext(context.Context, string, string) (net.Conn, erro
 // TestIntervalPacesRounds: the background loop probes once at Start and
 // then once per Interval.
 func TestIntervalPacesRounds(t *testing.T) {
-	m, reg := synthMonitor(t, Config{Interval: 20 * time.Millisecond, Dialer: refuseDialer{}})
+	m, reg := synthMonitor(t, Config{Interval: 20 * time.Millisecond})
 	m.Start()
 	defer m.Close()
 	rounds := reg.Counter("cronets_pathmon_rounds_total", "")

@@ -14,7 +14,9 @@ import (
 
 // synthMonitor builds a Monitor for synthetic-series tests: no sockets,
 // a hand-cranked clock, Alpha=1 (estimate = last sample) unless the test
-// overrides, and an obs registry so switch counts are assertable.
+// overrides, and an obs registry so switch counts are assertable. Without
+// a Dialer of the test's own, every dial is refused at once, so a round
+// that runs for real fails fast and never leaves the host.
 func synthMonitor(t *testing.T, cfg Config) (*Monitor, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -22,6 +24,9 @@ func synthMonitor(t *testing.T, cfg Config) (*Monitor, *obs.Registry) {
 	cfg.Obs = reg
 	if cfg.Interval == 0 {
 		cfg.Interval = time.Second
+	}
+	if cfg.Dialer == nil {
+		cfg.Dialer = refuseDialer{}
 	}
 	m, err := New(cfg)
 	if err != nil {

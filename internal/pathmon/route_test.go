@@ -1,7 +1,9 @@
 package pathmon
 
 import (
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,35 @@ func TestMakeRouteSeparatorInHop(t *testing.T) {
 	if r := MakeRoute("", "\x1f\x1f"); r != Direct {
 		t.Errorf("a route of separators only is %q, want Direct", r.key)
 	}
+}
+
+// TestMakeRouteRetainsNothing: a route that is dropped leaves nothing
+// behind, however many distinct routes a long-running monitor sees (each
+// relay set-up brings new ports, and chain candidates churn).
+func TestMakeRouteRetainsNothing(t *testing.T) {
+	const routes, maxGrowth = 100_000, 1 << 20
+	before := liveHeap()
+	for i := 0; i < routes; i++ {
+		n := strconv.Itoa(i)
+		r := MakeRoute("10.0.0.1:"+n, "10.0.0.2:"+n, "10.0.0.3:"+n)
+		if len(r.Hops()) != 3 || !strings.HasPrefix(r.String(), "via 10.0.0.1:") {
+			t.Fatalf("route %q: Hops %q String %q", r.key, r.Hops(), r.String())
+		}
+	}
+	growth := int64(liveHeap()) - int64(before)
+	if growth > maxGrowth {
+		t.Fatalf("%d dropped routes left %d B of live heap, want at most %d B", routes, growth, maxGrowth)
+	}
+	t.Logf("%d dropped routes left %d B of live heap", routes, growth)
+}
+
+// liveHeap returns the heap bytes still reachable after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // FuzzMakeRoute builds routes from arbitrary hop strings. Properties:

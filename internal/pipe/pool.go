@@ -18,11 +18,11 @@ import (
 	"cronets/internal/obs"
 )
 
-// classSizes are the pool's buffer size classes: small (frame headers,
-// probe frames, and every copy buffer until its flow fills a read),
-// medium (the default copy buffer and multipath segment size), large
-// (the split-TCP relay buffer). Requests above the largest
-// class fall through to plain allocation.
+// classSizes are the pool's buffer size classes: small (frame headers
+// and every copy buffer until its flow fills a read), medium (the
+// default copy buffer and multipath segment size), large (the split-TCP
+// relay buffer). Requests above the largest class fall through to plain
+// allocation.
 var classSizes = [...]int{4 << 10, 32 << 10, 256 << 10}
 
 // DefaultBufferBytes is the copy-buffer size Bidirectional uses when the
