@@ -44,10 +44,13 @@
 #                     CONNECT line, tunnel frames and packets, multipath
 #                     frame headers) and on pathmon's route key
 #                     (MakeRoute), starting from its testdata/fuzz corpus
+#   make loc          non-test Go lines per file outside benchmark/, and
+#                     their total, over the files git tracks: the line
+#                     counts ROADMAP.md and CHANGES.md quote
 
 GO ?= go
 
-.PHONY: build test test-short race race-repeat vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke fuzz-smoke
+.PHONY: build test test-short race race-repeat vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -132,3 +135,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/tunnel
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 5s ./internal/multipath
 	$(GO) test -run '^$$' -fuzz '^FuzzMakeRoute$$' -fuzztime 5s ./internal/pathmon
+
+# Tracked files only (git ls-files), so build outputs never count; each
+# file is counted as it stands in the working tree.
+loc:
+	@git ls-files -- '*.go' ':!:*_test.go' ':!:benchmark/' | \
+		while read -r f; do printf '%6d %s\n' "$$(wc -l < "$$f")" "$$f"; done | \
+		awk '{ print; n += $$1 } END { printf "%6d total\n", n }'

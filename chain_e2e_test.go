@@ -157,7 +157,7 @@ func TestChainFailoverEndToEnd(t *testing.T) {
 
 	metricsSrv := httptest.NewServer(reg.MetricsHandler())
 	defer metricsSrv.Close()
-	pathsSrv := httptest.NewServer(obs.GETOnly(mon.PathsHandler()))
+	pathsSrv := httptest.NewServer(obs.GETOnly(mon.View(pathmon.ObjectiveLatency).PathsHandler()))
 	defer pathsSrv.Close()
 
 	mon.Start()

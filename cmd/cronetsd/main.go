@@ -11,9 +11,10 @@
 // toward -target, and the gateway listener fronts -target, steering each
 // new connection onto the current best path (direct or via the best
 // relay) with fallback to the next-ranked path on dial failure. The
-// ranking objective is pluggable (-objective latency|throughput|composite;
-// the throughput axis is fed by -burst-duration bursts on a -burst-every
-// cadence), matching CRONets' bulk-transfer-first path selection.
+// gateway follows the monitor's view for one ranking objective
+// (-objective latency|throughput|composite; the throughput axis is fed by
+// -burst-duration bursts on a -burst-every cadence), matching CRONets'
+// bulk-transfer-first path selection.
 //
 // Usage:
 //
@@ -64,6 +65,7 @@ type node struct {
 	metricsAddr string
 	statsEvery  time.Duration
 	traceRate   float64
+	objective   pathmon.Objective
 
 	relay relay.Config
 	mon   pathmon.Config
@@ -105,7 +107,7 @@ func parseFlags(args []string) (*node, error) {
 	fs.DurationVar(&n.mon.Interval, "probe-interval", 5*time.Second, "gateway path-probe round period")
 	fs.StringVar(&n.mon.Dest, "probe-target", "", "destination probe endpoint, a measure server (default: -target)")
 	fs.Func("objective", "route-ranking objective: latency (the default), throughput (needs -burst-duration > 0), or composite (ranks by latency until bursts measure throughput)", func(s string) (err error) {
-		n.mon.Objective, err = pathmon.ParseObjective(s)
+		n.objective, err = pathmon.ParseObjective(s)
 		return err
 	})
 	fs.DurationVar(&n.mon.BurstDuration, "burst-duration", 0, "throughput-burst measurement window per route (0 = bursts off)")
@@ -189,10 +191,16 @@ func (n *node) runRelay(stop <-chan struct{}) error {
 }
 
 // runGateway runs the client-side control plane: pathmon probing the
-// fleet plus a gateway listener fronting the destination.
+// fleet plus a gateway listener fronting the destination, steered by the
+// monitor's view for -objective.
 func (n *node) runGateway(stop <-chan struct{}) error {
 	if n.gw.Dest == "" {
 		return fmt.Errorf("gateway mode requires -target (the fronted destination)")
+	}
+	if n.objective == pathmon.ObjectiveThroughput && n.mon.BurstDuration <= 0 {
+		// Without bursts every route scores alike under throughput, so no
+		// challenger could ever clear the switch margin.
+		return errors.New("-objective throughput needs -burst-duration > 0 (pathmon BurstDuration)")
 	}
 	reg := obs.NewRegistry()
 	pipe.InstrumentPool(reg)
@@ -204,9 +212,10 @@ func (n *node) runGateway(stop <-chan struct{}) error {
 		return err
 	}
 	defer mon.Close()
+	view := mon.View(n.objective)
 	mon.Start()
 
-	n.gw.Monitor = mon
+	n.gw.Monitor = view
 	n.gw.Obs = reg
 	n.gw.Tracer = tracer
 	gw, err := gateway.New(n.gw)
@@ -221,10 +230,10 @@ func (n *node) runGateway(stop <-chan struct{}) error {
 	slog.Info("cronetsd gateway listening", "addr", ln.Addr().String(),
 		"dest", n.gw.Dest, "probe_target", n.mon.Dest,
 		"fleet", strings.Join(n.mon.Fleet, ","), "probe_interval", n.mon.Interval.String(),
-		"objective", n.mon.Objective.String())
+		"objective", n.objective.String())
 
 	if n.metricsAddr != "" {
-		msrv, err := serveMetrics(n.metricsAddr, reg, tracer, mon)
+		msrv, err := serveMetrics(n.metricsAddr, reg, tracer, view)
 		if err != nil {
 			_ = gw.Close()
 			_ = ln.Close()
@@ -235,7 +244,7 @@ func (n *node) runGateway(stop <-chan struct{}) error {
 			"endpoints", "/metrics /metrics.json /debug/vars /debug/events /debug/traces /debug/paths /debug/pprof /healthz")
 	}
 	return serveUntil(stop, n.statsEvery, func() error { return gw.Serve(ln) }, gw.Close,
-		func(msg string) { logGatewayStats(gw, mon, msg) })
+		func(msg string) { logGatewayStats(gw, view, msg) })
 }
 
 // serveUntil is both roles' lifecycle: it runs serve, logs a "stats"
@@ -280,10 +289,10 @@ func logRelayStats(r *relay.Relay, msg string) {
 }
 
 // logGatewayStats emits one slog summary line from the gateway's counters
-// plus the current best path.
-func logGatewayStats(gw *gateway.Gateway, mon *pathmon.Monitor, msg string) {
+// plus the current best path of the view it follows.
+func logGatewayStats(gw *gateway.Gateway, view *pathmon.View, msg string) {
 	st := gw.Stats()
-	best, chosen := mon.Best()
+	best, chosen := view.Best()
 	bestName := "(none)"
 	if chosen {
 		bestName = best.String()
@@ -326,10 +335,10 @@ type metricsServer struct {
 
 // serveMetrics starts the observability endpoints on addr: metrics,
 // events, flow traces, pprof profiles, and the sampled runtime-stats
-// collector behind the cronets_runtime_* series. A non-nil mon
+// collector behind the cronets_runtime_* series. A non-nil view
 // additionally mounts its ranked path table at /debug/paths (gateway
 // mode; relay mode has no monitor and passes nil).
-func serveMetrics(addr string, reg *obs.Registry, tracer *flowtrace.Tracer, mon *pathmon.Monitor) (*metricsServer, error) {
+func serveMetrics(addr string, reg *obs.Registry, tracer *flowtrace.Tracer, view *pathmon.View) (*metricsServer, error) {
 	reg.PublishExpvar("cronets")
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.MetricsHandler())
@@ -337,8 +346,8 @@ func serveMetrics(addr string, reg *obs.Registry, tracer *flowtrace.Tracer, mon 
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/debug/events", reg.EventsHandler())
 	mux.Handle("/debug/traces", tracer.Handler())
-	if mon != nil {
-		mux.Handle("/debug/paths", obs.GETOnly(mon.PathsHandler()))
+	if view != nil {
+		mux.Handle("/debug/paths", obs.GETOnly(view.PathsHandler()))
 	}
 	// The binary never touches http.DefaultServeMux, so the pprof
 	// endpoints are mounted explicitly.

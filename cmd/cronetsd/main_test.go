@@ -37,7 +37,7 @@ func TestFlagsBindConfig(t *testing.T) {
 				n.relay.BufferBytes == 256<<10 && n.gw.BufferBytes == 256<<10 &&
 				n.relay.DialRetries == 2 && n.relay.DialRetryBackoff == 50*time.Millisecond &&
 				n.mon.Fleet == nil && n.mon.Dest == "" &&
-				n.mon.Interval == 5*time.Second && n.mon.Objective == pathmon.ObjectiveLatency &&
+				n.mon.Interval == 5*time.Second && n.objective == pathmon.ObjectiveLatency &&
 				n.mon.BurstDuration == 0 && n.mon.BurstEvery == 1 &&
 				n.mon.SwitchMargin == 0.1 && n.mon.SwitchRounds == 3 &&
 				n.mon.MaxHops == 1 && n.mon.ChainCandidates == 3 && n.gw.PoolSize == 0
@@ -73,7 +73,7 @@ func TestFlagsBindConfig(t *testing.T) {
 			return n.mon.Dest == "p:9" && n.gw.Dest == "d:7"
 		}},
 		{"objective", []string{"-objective", "composite"}, func(n *node) bool {
-			return n.mon.Objective == pathmon.ObjectiveComposite
+			return n.objective == pathmon.ObjectiveComposite
 		}},
 		{"burst-duration", []string{"-burst-duration", "7ms"}, func(n *node) bool { return n.mon.BurstDuration == 7*time.Millisecond }},
 		{"burst-every", []string{"-burst-every", "7"}, func(n *node) bool { return n.mon.BurstEvery == 7 }},
@@ -292,28 +292,49 @@ func TestRelayRole(t *testing.T) {
 }
 
 // TestGatewayRole: the gateway role fronts its target, serves its
-// metrics endpoints, and returns nil when stopped.
+// metrics endpoints, and returns nil when stopped. /metrics carries the
+// gauges of the view -objective selects, next to the latency view's, and
+// /debug/paths serves that view's table.
 func TestGatewayRole(t *testing.T) {
-	dest := destination(t)
-	bound := captureAddrs(t)
-	startNode(t, "-gateway-addr", "127.0.0.1:0", "-target", dest,
-		"-probe-interval", "50ms", "-metrics-addr", "127.0.0.1:0", "-stats-interval", "0")
-	gwAddr := bound.addr(t, "cronetsd gateway listening")
-	metricsAddr := bound.addr(t, "metrics listening")
-	probe(t, func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", gwAddr)
-	})
-	for _, path := range []string{"/healthz", "/debug/paths"} {
-		resp, err := http.Get("http://" + metricsAddr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d %s", path, resp.StatusCode, body)
-		}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"latency", nil},
+		{"composite", []string{"-objective", "composite"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dest := destination(t)
+			bound := captureAddrs(t)
+			startNode(t, append([]string{"-gateway-addr", "127.0.0.1:0", "-target", dest,
+				"-probe-interval", "50ms", "-metrics-addr", "127.0.0.1:0", "-stats-interval", "0"}, c.args...)...)
+			gwAddr := bound.addr(t, "cronetsd gateway listening")
+			metricsAddr := bound.addr(t, "metrics listening")
+			probe(t, func(ctx context.Context) (net.Conn, error) {
+				var d net.Dialer
+				return d.DialContext(ctx, "tcp", gwAddr)
+			})
+			bodies := make(map[string]string)
+			for _, path := range []string{"/healthz", "/debug/paths", "/metrics"} {
+				resp, err := http.Get("http://" + metricsAddr + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				_ = resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s = %d %s", path, resp.StatusCode, body)
+				}
+				bodies[path] = string(body)
+			}
+			for _, obj := range []string{"latency", c.name} {
+				for _, gauge := range []string{"cronets_pathmon_best_is_direct", "cronets_pathmon_route_mbps"} {
+					if series := gauge + `{objective="` + obj + `"}`; !strings.Contains(bodies["/metrics"], series) {
+						t.Errorf("/metrics lacks %s:\n%s", series, bodies["/metrics"])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -196,7 +196,7 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 	if !metricsCounterAtLeast(metrics, "cronets_pathmon_switches_total", 1) {
 		t.Fatalf("cronets_pathmon_switches_total missing or zero in /metrics:\n%s", metrics)
 	}
-	if !strings.Contains(metrics, "cronets_pathmon_best_is_direct 0") {
+	if !strings.Contains(metrics, `cronets_pathmon_best_is_direct{objective="latency"} 0`) {
 		t.Fatalf("cronets_pathmon_best_is_direct should be 0 after the switch:\n%s", metrics)
 	}
 	events := scrape(t, eventsSrv, "/")

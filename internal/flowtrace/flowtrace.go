@@ -39,9 +39,6 @@ type Config struct {
 	// Spans continuing a remote context follow the context's sampling
 	// bit and ignore this rate.
 	SampleRate float64
-	// RingSize bounds the completed-span ring (default 4096). Oldest
-	// spans are overwritten first.
-	RingSize int
 	// Seed perturbs trace/span ID generation; 0 derives one from the
 	// clock. Fix it for reproducible IDs in tests.
 	Seed uint64
@@ -50,9 +47,9 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// DefaultRingSize is the span-ring capacity used when Config.RingSize
-// is unset.
-const DefaultRingSize = 4096
+// ringSize bounds the completed-span ring. Oldest spans are overwritten
+// first.
+const ringSize = 4096
 
 // Tracer makes sampling decisions, mints IDs, and owns the node's
 // completed-span ring. A nil *Tracer is a valid no-op.
@@ -76,9 +73,6 @@ func New(cfg Config) *Tracer {
 	if cfg.Node == "" {
 		cfg.Node = "node"
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano())
@@ -96,7 +90,7 @@ func New(cfg Config) *Tracer {
 	t := &Tracer{
 		node:   cfg.Node,
 		period: period,
-		slots:  make([]atomic.Pointer[Span], cfg.RingSize),
+		slots:  make([]atomic.Pointer[Span], ringSize),
 		scope:  cfg.Obs.Scope("flowtrace"),
 		spans: cfg.Obs.Counter("cronets_flowtrace_spans_total",
 			"Completed spans published into the span ring."),

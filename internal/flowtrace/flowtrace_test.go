@@ -199,13 +199,13 @@ func TestSpanLifecycle(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	tr := New(Config{SampleRate: 1, RingSize: 8, Seed: 9})
-	for i := 0; i < 20; i++ {
+	tr := New(Config{SampleRate: 1, Seed: 9})
+	for i := 0; i < ringSize+12; i++ {
 		tr.Start("op", Context{}).End()
 	}
 	spans := tr.Snapshot()
-	if len(spans) != 8 {
-		t.Fatalf("ring holds %d spans, want 8", len(spans))
+	if len(spans) != ringSize {
+		t.Fatalf("ring holds %d spans, want %d", len(spans), ringSize)
 	}
 }
 

@@ -4,7 +4,7 @@ package gateway
 // in-memory dialer — no sockets, no netem, no timing. Each case scripts
 // which endpoints fail, and asserts the exact walk order over the ranked
 // candidates, the route the dial lands on, and the termination rules:
-// direct stays inside the MaxAttempts truncation as the last resort, and
+// direct stays inside the maxAttempts truncation as the last resort, and
 // context cancellation stops the walk instead of burning the remaining
 // candidates.
 
@@ -96,16 +96,15 @@ func TestDialFallbackLadder(t *testing.T) {
 	up := func(r pathmon.Route) pathmon.RouteStatus { return pathmon.RouteStatus{Route: r} }
 
 	cases := []struct {
-		name        string
-		maxAttempts int
-		best        pathmon.Route
-		chosen      bool
-		table       []pathmon.RouteStatus
-		fail        []string // endpoints whose dials fail
-		cancelOn    string   // cancel the dial context after this endpoint's attempt
-		wantDialed  []string // exact endpoint walk (first hops + direct addr)
-		wantRoute   pathmon.Route
-		wantErr     bool
+		name       string
+		best       pathmon.Route
+		chosen     bool
+		table      []pathmon.RouteStatus
+		fail       []string // endpoints whose dials fail
+		cancelOn   string   // cancel the dial context after this endpoint's attempt
+		wantDialed []string // exact endpoint walk (first hops + direct addr)
+		wantRoute  pathmon.Route
+		wantErr    bool
 	}{
 		{
 			name:       "best route wins without fallback",
@@ -129,17 +128,18 @@ func TestDialFallbackLadder(t *testing.T) {
 			wantRoute:  pathmon.Direct,
 		},
 		{
-			name:        "direct survives MaxAttempts truncation",
-			maxAttempts: 2,
-			best:        pathmon.MakeRoute(relayA),
-			chosen:      true,
+			// Three ranked relays and the cap of three attempts: a plain
+			// cut would dial C and never reach direct.
+			name:   "direct survives MaxAttempts truncation",
+			best:   pathmon.MakeRoute(relayA),
+			chosen: true,
 			table: []pathmon.RouteStatus{
 				up(pathmon.MakeRoute(relayA)),
 				up(pathmon.MakeRoute(relayB)),
 				up(pathmon.MakeRoute(relayC)),
 			},
-			fail:       []string{relayA},
-			wantDialed: []string{relayA, directAddr},
+			fail:       []string{relayA, relayB},
+			wantDialed: []string{relayA, relayB, directAddr},
 			wantRoute:  pathmon.Direct,
 		},
 		{
@@ -193,11 +193,10 @@ func TestDialFallbackLadder(t *testing.T) {
 				}
 			}
 			gw, err := New(Config{
-				Dest:        "dest.test:7",
-				DirectAddr:  directAddr,
-				Monitor:     &scriptedRanker{best: tc.best, chosen: tc.chosen, table: tc.table},
-				MaxAttempts: tc.maxAttempts,
-				Dialer:      dialer,
+				Dest:       "dest.test:7",
+				DirectAddr: directAddr,
+				Monitor:    &scriptedRanker{best: tc.best, chosen: tc.chosen, table: tc.table},
+				Dialer:     dialer,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -24,14 +24,15 @@ import (
 	"cronets/internal/relay"
 )
 
-// Ranker supplies the control-plane route ranking a Gateway follows. It
-// is satisfied by *pathmon.Monitor and by *pathmon.View, so the routing
-// objective is chosen per listener: hand a bulk listener
-// mon.View(pathmon.ObjectiveThroughput) and an interactive listener the
-// monitor itself, and both share one probe budget while committing to
-// their own best routes (the warm pool follows whichever ranking its
-// gateway was given). Tests substitute scripted rankings to exercise the
-// dial fallback ladder without sockets.
+// Ranker supplies the control-plane route ranking a Gateway follows: a
+// *pathmon.View, one objective's ranking of a monitor's probe data. The
+// routing objective is chosen per listener: hand a bulk listener
+// mon.View(pathmon.ObjectiveThroughput) and an interactive listener
+// mon.View(pathmon.ObjectiveLatency), and both share one probe budget
+// while committing to their own best routes (the warm pool follows
+// whichever ranking its gateway was given). *pathmon.Monitor satisfies it
+// too, as its latency view. Tests substitute scripted rankings to
+// exercise the dial fallback ladder without sockets.
 type Ranker interface {
 	// Best returns the hysteresis-committed best route (false before the
 	// first usable round).
@@ -43,8 +44,13 @@ type Ranker interface {
 	Subscribe() (<-chan struct{}, func())
 }
 
-// dialTimeout bounds each path attempt.
-const dialTimeout = 10 * time.Second
+const (
+	// dialTimeout bounds each path attempt.
+	dialTimeout = 10 * time.Second
+	// maxAttempts caps how many routes one Dial tries before giving up.
+	// The direct route always stays inside the cap as the last resort.
+	maxAttempts = 3
+)
 
 // Config parameterizes a Gateway. Dest is required.
 type Config struct {
@@ -54,10 +60,8 @@ type Config struct {
 	// DirectAddr is the client's direct route to Dest (defaults to Dest;
 	// emulations point it at a netem proxy).
 	DirectAddr string
-	// Monitor supplies route rankings: usually the *pathmon.Monitor
-	// itself, or one objective's *pathmon.View of it when several
-	// listeners share a monitor. With a nil Monitor the gateway always
-	// dials direct.
+	// Monitor supplies route rankings: one objective's *pathmon.View of
+	// a monitor. With a nil Monitor the gateway always dials direct.
 	Monitor Ranker
 	// IdleTimeout closes listener-mode flows with no traffic in either
 	// direction (default 5 min; negative disables). Without it a dead
@@ -69,10 +73,6 @@ type Config struct {
 	// direction moves to a kernel pipe of BufferBytes with splice(2) on
 	// Linux, or grows to a pooled BufferBytes buffer (see pipe.Options).
 	BufferBytes int
-	// MaxAttempts caps how many ranked paths one Dial tries before
-	// giving up (default 3). The direct path always stays inside the
-	// cap as the guaranteed last resort.
-	MaxAttempts int
 	// PoolSize enables the warm relay-connection pool when > 0: each
 	// warmed relay keeps PoolSize pre-established TCP connections, and
 	// relay dials send the CONNECT preamble on a pooled socket —
@@ -151,9 +151,6 @@ func New(cfg Config) (*Gateway, error) {
 	} else if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
 	if cfg.Dialer == nil {
 		cfg.Dialer = &net.Dialer{}
 	}
@@ -209,9 +206,10 @@ func (g *Gateway) instrument(reg *obs.Registry) {
 // Stats returns the gateway's counters.
 func (g *Gateway) Stats() *Stats { return g.stats }
 
-// candidates returns the ordered list of routes a dial should try: the
-// hysteresis-committed best route first, then the remaining usable routes
-// score-ordered. Without a monitor (or before its first round) it is the
+// candidates returns the ordered list of at most maxAttempts routes a
+// dial should try: the hysteresis-committed best route first, then the
+// remaining usable routes score-ordered, with the direct route always
+// among them. Without a monitor (or before its first round) it is the
 // direct route alone.
 func (g *Gateway) candidates() []pathmon.Route {
 	if g.cfg.Monitor == nil {
@@ -221,9 +219,13 @@ func (g *Gateway) candidates() []pathmon.Route {
 	if !ok {
 		return []pathmon.Route{pathmon.Direct}
 	}
-	out := []pathmon.Route{best}
+	out := append(make([]pathmon.Route, 0, maxAttempts), best)
 	haveDirect := best.IsDirect()
 	for _, st := range g.cfg.Monitor.Ranked() {
+		// Until direct is in, the last slot is kept for it.
+		if len(out) == maxAttempts || len(out) == maxAttempts-1 && !haveDirect {
+			break
+		}
 		if st.Route == best || st.Down {
 			continue
 		}
@@ -254,25 +256,6 @@ func (g *Gateway) Dial(ctx context.Context) (net.Conn, pathmon.Route, error) {
 		ctx = flowtrace.NewGoContext(ctx, span.Context())
 	}
 	cands := g.candidates()
-	if len(cands) > g.cfg.MaxAttempts {
-		// Truncate to the attempt cap, but never slice off the direct
-		// path: candidates() appends it as the guaranteed last resort,
-		// and with >= MaxAttempts ranked relay paths a plain cut would
-		// silently drop it — a relay-fleet outage would then fail flows
-		// that direct would have served.
-		kept := cands[:g.cfg.MaxAttempts:g.cfg.MaxAttempts]
-		hasDirect := false
-		for _, p := range kept {
-			if p.IsDirect() {
-				hasDirect = true
-				break
-			}
-		}
-		if !hasDirect {
-			kept[len(kept)-1] = pathmon.Direct
-		}
-		cands = kept
-	}
 	var lastErr error
 	for i, p := range cands {
 		conn, pooled, err := g.dialRoute(ctx, p)

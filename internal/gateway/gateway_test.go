@@ -331,40 +331,6 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	}
 }
 
-// TestDialDirectStaysInsideAttemptCap: with a committed (dead) relay best
-// path and MaxAttempts small enough that truncation kicks in, the direct
-// last resort must survive the cut. Pre-fix, cands[:MaxAttempts] sliced
-// direct off and the dial failed outright.
-func TestDialDirectStaysInsideAttemptCap(t *testing.T) {
-	dest := echoServer(t)
-	deadRelay := "127.0.0.1:1"
-	mon, err := pathmon.New(pathmon.Config{Dest: dest.String(), Fleet: []string{deadRelay}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	mon.Pin(pathmon.MakeRoute(deadRelay))
-
-	g, err := New(Config{
-		Dest:        dest.String(),
-		Monitor:     mon,
-		MaxAttempts: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-
-	conn, path, err := g.Dial(context.Background())
-	if err != nil {
-		t.Fatalf("Dial must keep direct inside the attempt cap: %v", err)
-	}
-	defer conn.Close()
-	if !path.IsDirect() {
-		t.Fatalf("path = %v, want direct", path)
-	}
-}
-
 // stallDialer dials normally for its first dials, then parks each
 // further dial until its context ends (a destination whose SYNs go
 // unanswered), signalling stalled.

@@ -22,21 +22,16 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.entries))
-	for name := range r.entries {
+	entries := r.copyEntries()
+	names := make([]string, 0, len(entries))
+	for name := range entries {
 		names = append(names, name)
 	}
-	snapshot := make(map[string]*entry, len(r.entries))
-	for name, e := range r.entries {
-		snapshot[name] = e
-	}
-	r.mu.Unlock()
 	sort.Strings(names)
 
 	lastHeader := ""
 	for _, name := range names {
-		e := snapshot[name]
+		e := entries[name]
 		base := baseName(name)
 		if base != lastHeader {
 			lastHeader = base
@@ -76,7 +71,7 @@ func baseName(name string) string {
 	return name
 }
 
-func writeEntry(w io.Writer, name string, e *entry) error {
+func writeEntry(w io.Writer, name string, e entry) error {
 	switch e.kind {
 	case kindCounter:
 		_, err := fmt.Fprintf(w, "%s %d\n", name, e.c.Value())
@@ -125,13 +120,7 @@ func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return out
 	}
-	r.mu.Lock()
-	entries := make(map[string]*entry, len(r.entries))
-	for name, e := range r.entries {
-		entries[name] = e
-	}
-	r.mu.Unlock()
-	for name, e := range entries {
+	for name, e := range r.copyEntries() {
 		switch e.kind {
 		case kindCounter:
 			out[name] = e.c.Value()
@@ -154,6 +143,19 @@ func (r *Registry) Snapshot() map[string]any {
 			hs.Buckets["+Inf"] = h.Count()
 			out[name] = hs
 		}
+	}
+	return out
+}
+
+// copyEntries copies every entry by value under r.mu. Scrapes call the
+// copies' funcs outside the lock, so a func may take a component lock
+// under which that component registers metrics.
+func (r *Registry) copyEntries() map[string]entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]entry, len(r.entries))
+	for name, e := range r.entries {
+		out[name] = e
 	}
 	return out
 }

@@ -160,14 +160,14 @@ type entry struct {
 // sink: every method returns a nil (no-op) instrument or does nothing.
 type Registry struct {
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[string]entry
 	events  *EventRing
 }
 
 // NewRegistry creates an empty registry with a default-capacity event ring.
 func NewRegistry() *Registry {
 	return &Registry{
-		entries: make(map[string]*entry),
+		entries: make(map[string]entry),
 		events:  NewEventRing(DefaultEventCapacity),
 	}
 }
@@ -179,11 +179,11 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.get(name, help, kindCounter)
-	if e.c == nil {
-		e.c = &Counter{}
-	}
-	return e.c
+	return r.get(name, help, kindCounter, func(e *entry) {
+		if e.c == nil {
+			e.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -191,11 +191,11 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.get(name, help, kindGauge)
-	if e.g == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
+	return r.get(name, help, kindGauge, func(e *entry) {
+		if e.g == nil {
+			e.g = &Gauge{}
+		}
+	}).g
 }
 
 // Histogram returns the named histogram, creating it on first use with the
@@ -205,12 +205,12 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	e := r.get(name, help, kindHistogram)
-	if e.h == nil {
-		b := append([]float64(nil), bounds...)
-		e.h = &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
-	}
-	return e.h
+	return r.get(name, help, kindHistogram, func(e *entry) {
+		if e.h == nil {
+			b := append([]float64(nil), bounds...)
+			e.h = &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
+		}
+	}).h
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -221,8 +221,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	if r == nil {
 		return
 	}
-	e := r.get(name, help, kindCounterFunc)
-	e.fn = fn
+	r.get(name, help, kindCounterFunc, func(e *entry) { e.fn = fn })
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.
@@ -230,22 +229,23 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	if r == nil {
 		return
 	}
-	e := r.get(name, help, kindGaugeFunc)
-	e.fn = fn
+	r.get(name, help, kindGaugeFunc, func(e *entry) { e.fn = fn })
 }
 
-// get returns the entry for name, creating it with the given kind and
-// help. Caller must not hold r.mu.
-func (r *Registry) get(name, help string, kind metricKind) *entry {
+// get finds or creates the entry for name with the given kind and help,
+// fills in its instrument or func with set, and returns a copy. set runs
+// under r.mu, so a scrape, which copies entries under the same lock,
+// never sees a half-built one. Caller must not hold r.mu.
+func (r *Registry) get(name, help string, kind metricKind, set func(*entry)) entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		if e.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", name))
-		}
-		return e
+	e, ok := r.entries[name]
+	if !ok {
+		e = entry{kind: kind, help: help}
+	} else if e.kind != kind {
+		panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", name))
 	}
-	e := &entry{kind: kind, help: help}
+	set(&e)
 	r.entries[name] = e
 	return e
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -246,5 +247,45 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if h.Count() != 8000 {
 		t.Errorf("hist count = %d, want 8000", h.Count())
+	}
+}
+
+// TestRegisterWhileScraping: a scrape that races registrations never sees
+// a half-built instrument. One goroutine registers metrics of every kind,
+// and re-registers one GaugeFunc, while this one loops over both scrapes.
+// Meaningful under -race.
+func TestRegisterWhileScraping(t *testing.T) {
+	const n = 200
+	r := NewRegistry()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			s := strconv.Itoa(i)
+			r.Counter(Label("c_total", "i", s), "").Inc()
+			r.Gauge(Label("g", "i", s), "").Set(1)
+			r.Histogram(Label("h", "i", s), "", LatencyBuckets).Observe(0.1)
+			r.CounterFunc(Label("cf_total", "i", s), "", func() int64 { return 1 })
+			r.GaugeFunc(Label("gf", "i", s), "", func() int64 { return 1 })
+			r.GaugeFunc("gf_again", "", func() int64 { return int64(i) })
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if err := r.WriteMetrics(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		_ = r.Snapshot()
+	}
+	snap := r.Snapshot()
+	if len(snap) != 5*n+1 {
+		t.Errorf("snapshot holds %d series, want %d", len(snap), 5*n+1)
+	}
+	if got := snap["gf_again"]; got != int64(n-1) {
+		t.Errorf("re-registered GaugeFunc reads %v, want the last func's %d", got, n-1)
 	}
 }

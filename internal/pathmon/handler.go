@@ -1,9 +1,9 @@
 package pathmon
 
-// The /debug/paths exposition: the monitor's ranked table as JSON, one
-// row per candidate path (direct, each relay, each live chain
-// candidate), score-ordered best-first — what an operator checks to
-// answer "why is traffic where it is?".
+// The /debug/paths exposition: a view's ranked table as JSON, one row per
+// candidate path (direct, each relay, each live chain candidate),
+// score-ordered best-first under the view's objective — what an operator
+// checks to answer "why is traffic where it is?".
 
 import (
 	"encoding/json"
@@ -46,12 +46,12 @@ type PathRow struct {
 	LastProbeAgeMs *float64 `json:"last_probe_age_ms"`
 }
 
-// PathsHandler serves the ranked path table as JSON, best-first. Mount
-// it behind obs.GETOnly next to the other observability endpoints.
-func (m *Monitor) PathsHandler() http.Handler {
+// PathsHandler serves the view's ranked path table as JSON, best-first.
+// Mount it behind obs.GETOnly next to the other observability endpoints.
+func (v *View) PathsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		now := time.Now()
-		ranked := m.Ranked()
+		ranked := v.Ranked()
 		rows := make([]PathRow, 0, len(ranked))
 		for _, st := range ranked {
 			row := PathRow{

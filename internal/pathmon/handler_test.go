@@ -24,7 +24,7 @@ func TestPathsHandlerJSON(t *testing.T) {
 	m.now = func() time.Time { return now }
 
 	rec := httptest.NewRecorder()
-	m.PathsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/paths", nil))
+	m.View(ObjectiveLatency).PathsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/paths", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q", ct)
 	}

@@ -82,10 +82,9 @@ func TestCloseFastWithBlackholedProbe(t *testing.T) {
 // round pays more than K burst windows.
 func TestBurstSchedulingRoundRobin(t *testing.T) {
 	m, _ := synthMonitor(t, Config{
-		Fleet:             []string{"r1:1", "r2:2", "r3:3"},
-		BurstDuration:     100 * time.Millisecond,
-		BurstEvery:        1,
-		MaxBurstsPerRound: 2,
+		Fleet:         []string{"r1:1", "r2:2", "r3:3"},
+		BurstDuration: 100 * time.Millisecond,
+		BurstEvery:    1,
 	})
 	counts := make(map[Route]int)
 	// 4 routes, 2 slots/round: over 4 rounds every route bursts exactly
@@ -113,10 +112,9 @@ func TestBurstSchedulingRoundRobin(t *testing.T) {
 // rounds apart even when slots are free.
 func TestBurstSchedulingCadence(t *testing.T) {
 	m, _ := synthMonitor(t, Config{
-		Fleet:             []string{"r1:1"},
-		BurstDuration:     100 * time.Millisecond,
-		BurstEvery:        3,
-		MaxBurstsPerRound: 4,
+		Fleet:         []string{"r1:1"},
+		BurstDuration: 100 * time.Millisecond,
+		BurstEvery:    3,
 	})
 	var burstRounds []int64
 	for r := int64(1); r <= 9; r++ {
@@ -220,13 +218,12 @@ func TestCloseWithBurstsAndChainsInFlight(t *testing.T) {
 		fleet = append(fleet, ln.Addr().String())
 	}
 	m, err := New(Config{
-		Dest:              destLn.Addr().String(),
-		Fleet:             fleet,
-		Interval:          time.Hour,
-		MaxHops:           2,
-		ChainPruneFactor:  -1,
-		BurstDuration:     time.Minute,
-		MaxBurstsPerRound: 4,
+		Dest:             destLn.Addr().String(),
+		Fleet:            fleet,
+		Interval:         time.Hour,
+		MaxHops:          2,
+		ChainPruneFactor: -1,
+		BurstDuration:    time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,6 +235,9 @@ func TestCloseWithBurstsAndChainsInFlight(t *testing.T) {
 	if n := len(chainSet(m)); n != 2 {
 		t.Fatalf("%d chain candidates, want 2", n)
 	}
+	// The round's two burst slots go to the two chains, which come after
+	// the static routes in the probe order.
+	m.burstCursor = len(m.order)
 	m.Start()
 
 	// A single-hop route holds at most one relayed connection per relay

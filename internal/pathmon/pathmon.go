@@ -9,12 +9,12 @@
 // wobble cannot flap the overlay — the CRONets provisioning service's
 // "which cloud path beats the Internet right now?" loop (PAPER.md §3).
 //
-// Ranking is objective-driven: the delay metric (ObjectiveLatency, the
-// default), the smoothed burst throughput (ObjectiveThroughput — the
-// paper's headline axis), or a normalized blend (ObjectiveComposite).
-// One Monitor can serve several objectives at once: View(obj) returns an
-// independently hysteresis-damped ranking over the same probe data, so a
-// bulk listener and an interactive listener share one probe budget.
+// Ranking is objective-driven: the delay metric (ObjectiveLatency), the
+// smoothed burst throughput (ObjectiveThroughput — the paper's headline
+// axis), or a normalized blend (ObjectiveComposite). Every ranking is a
+// View: View(obj) returns an independently hysteresis-damped ranking
+// over the same probe data, so a bulk listener and an interactive
+// listener share one probe budget.
 //
 // Routes are uniform N-hop hop lists (Route): the direct path is the
 // zero-hop route, a single relay is the one-hop route, and deeper chains
@@ -67,27 +67,14 @@ type Config struct {
 	// Alpha is the EWMA weight of a new sample (default 0.3), shared by
 	// the RTT and throughput estimators.
 	Alpha float64
-	// Objective selects the metric that orders the monitor's own ranked
-	// table and drives its hysteresis (default ObjectiveLatency — the
-	// pre-objective behavior). Additional objectives ride the same probe
-	// data through View. ObjectiveThroughput needs BurstDuration > 0:
-	// New rejects it without bursts, since every route would then score
-	// alike and no challenger could ever clear the switch margin.
-	Objective Objective
 	// BurstDuration, when positive, enables periodic throughput bursts:
 	// a timed sink-mode upload on a fresh connection whose result feeds
-	// each route's smoothed Mbps estimate (and, under
-	// ObjectiveThroughput/ObjectiveComposite, its rank).
+	// each route's smoothed Mbps estimate (and its rank in throughput and
+	// composite views).
 	BurstDuration time.Duration
 	// BurstEvery is how many rounds elapse between one route's bursts
-	// (default 1 — every round, subject to MaxBurstsPerRound).
+	// (default 1 — every round, subject to maxBurstsPerRound).
 	BurstEvery int
-	// MaxBurstsPerRound caps how many routes burst in one round
-	// (default 2). Due routes are served round-robin, so with N routes
-	// every route still bursts within ceil(N/MaxBurstsPerRound) x
-	// BurstEvery rounds — a round never pays more than K burst windows
-	// of extra traffic, however big the fleet.
-	MaxBurstsPerRound int
 	// SwitchMargin is the fraction by which a challenger's score must
 	// beat the incumbent's to count toward a switch (default 0.1).
 	SwitchMargin float64
@@ -135,24 +122,17 @@ const (
 	// same curve, scaled by the burst cadence (bursts are naturally
 	// BurstEvery or more rounds apart).
 	staleIntervals = 3
+	// maxBurstsPerRound caps how many routes burst in one round. Due
+	// routes are served round-robin, so with N routes every route still
+	// bursts within ceil(N/maxBurstsPerRound) x BurstEvery rounds — a
+	// round never pays more than two burst windows of extra traffic,
+	// however big the fleet.
+	maxBurstsPerRound = 2
 )
 
-// rankView is one objective's independently hysteresis-damped selection
-// state over the shared probe table. The Monitor always has one for its
-// configured objective; View adds more. All fields are guarded by the
-// Monitor's mutex.
-type rankView struct {
-	obj    Objective
-	best   Route
-	chosen bool // a best route has been selected
-	// challenger/streak implement switch hysteresis.
-	challenger    Route
-	streak        int
-	lastRankFirst Route
-}
-
-// Monitor continuously probes the candidate routes and publishes a ranked
-// table plus a hysteresis-damped best route per objective.
+// Monitor continuously probes the candidate routes, and each of its
+// Views publishes a ranked table and a hysteresis-damped best route
+// under its objective.
 type Monitor struct {
 	cfg Config
 	// now is the clock, injectable by tests.
@@ -171,7 +151,6 @@ type Monitor struct {
 	switches    *obs.Counter
 	rounds      *obs.Counter
 	rttHist     *obs.Histogram
-	bestDirec   *obs.Gauge
 	scope       *obs.Scope
 
 	mu     sync.Mutex
@@ -179,11 +158,9 @@ type Monitor struct {
 	static map[Route]bool // membership set of order
 	chains []Route        // dynamic probe set (beam candidates + pins), rebuilt each round
 	states map[Route]*pathState
-	// defView is the Config.Objective ranking; views holds it plus every
-	// View-created objective, in creation order.
-	defView   *rankView
-	views     []*rankView
-	viewByObj map[Objective]*rankView
+	// views holds every ranking, in creation order (the latency view
+	// first).
+	views []*View
 	// burstCursor round-robins the per-round burst slots across routes.
 	burstCursor int
 	roundsDone  int64
@@ -210,9 +187,6 @@ func New(cfg Config) (*Monitor, error) {
 	if err := checkFleet(cfg.Fleet); err != nil {
 		return nil, err
 	}
-	if cfg.Objective == ObjectiveThroughput && cfg.BurstDuration <= 0 {
-		return nil, errors.New("pathmon: Config.Objective throughput needs Config.BurstDuration > 0")
-	}
 	if cfg.DirectAddr == "" {
 		cfg.DirectAddr = cfg.Dest
 	}
@@ -236,9 +210,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	if cfg.BurstEvery <= 0 {
 		cfg.BurstEvery = 1
-	}
-	if cfg.MaxBurstsPerRound <= 0 {
-		cfg.MaxBurstsPerRound = 2
 	}
 	if cfg.SwitchMargin <= 0 {
 		cfg.SwitchMargin = 0.1
@@ -270,9 +241,6 @@ func New(cfg Config) (*Monitor, error) {
 		runCancel: runCancel,
 		subs:      make(map[chan struct{}]struct{}),
 	}
-	m.defView = &rankView{obj: cfg.Objective}
-	m.views = []*rankView{m.defView}
-	m.viewByObj = map[Objective]*rankView{cfg.Objective: m.defView}
 	m.order = append(m.order, Direct)
 	for _, r := range cfg.Fleet {
 		m.order = append(m.order, MakeRoute(r))
@@ -282,6 +250,7 @@ func New(cfg Config) (*Monitor, error) {
 		m.states[p] = &pathState{route: p}
 	}
 	m.instrument(cfg.Obs)
+	m.View(ObjectiveLatency)
 	return m, nil
 }
 
@@ -324,22 +293,6 @@ func (m *Monitor) instrument(reg *obs.Registry) {
 		"Probe rounds completed.")
 	m.rttHist = reg.Histogram("cronets_pathmon_rtt_seconds",
 		"Probed RTT across all candidate paths.", obs.LatencyBuckets)
-	m.bestDirec = reg.Gauge("cronets_pathmon_best_is_direct",
-		"1 when the current best path is direct, 0 when it is a relay.")
-	reg.GaugeFunc("cronets_pathmon_route_mbps",
-		"Smoothed, staleness-decayed throughput estimate of the current best route, in whole Mbps (0 before any completed burst).",
-		func() int64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			if !m.defView.chosen {
-				return 0
-			}
-			st := m.states[m.defView.best]
-			if st == nil {
-				return 0
-			}
-			return int64(math.Round(st.effMbps(m.now(), m.burstStaleAfterLocked())))
-		})
 	m.scope = reg.Scope("pathmon")
 }
 
@@ -392,7 +345,7 @@ type probeResult struct {
 // the results into the ranked table. Each route's dial + RTT probes share
 // one ProbeTimeout budget, so the round completes within roughly one
 // timeout even if every relay is dead; the routes due a throughput burst
-// this round (at most MaxBurstsPerRound, round-robined on the BurstEvery
+// this round (at most maxBurstsPerRound, round-robined on the BurstEvery
 // cadence) additionally run one burst on its own time budget. With
 // MaxHops >= 2 the round also probes the current multi-hop chain
 // candidates (enumerated from the previous round's single-hop estimates
@@ -426,7 +379,7 @@ func (m *Monitor) ProbeRound(ctx context.Context) {
 
 // scheduleBurstsLocked picks the routes that burst this round: every
 // route whose last burst slot is BurstEvery or more rounds old is due,
-// and up to MaxBurstsPerRound of them are served, round-robin from a
+// and up to maxBurstsPerRound of them are served, round-robin from a
 // rotating cursor so a large probe set shares the burst budget fairly.
 // A route's slot is consumed at scheduling time — if its RTT probe then
 // fails, the burst is forfeit until the route is due again. Caller holds
@@ -436,10 +389,10 @@ func (m *Monitor) scheduleBurstsLocked(routes []Route) map[Route]bool {
 		return nil
 	}
 	round := m.roundsDone + 1
-	due := make(map[Route]bool, m.cfg.MaxBurstsPerRound)
+	due := make(map[Route]bool, maxBurstsPerRound)
 	n := len(routes)
 	start := m.burstCursor % n
-	for k := 0; k < n && len(due) < m.cfg.MaxBurstsPerRound; k++ {
+	for k := 0; k < n && len(due) < maxBurstsPerRound; k++ {
 		i := (start + k) % n
 		st := m.states[routes[i]]
 		if st == nil || due[routes[i]] {
@@ -462,13 +415,14 @@ func (m *Monitor) staleAfter() time.Duration {
 }
 
 // burstStaleAfterLocked scales the staleness horizon to the burst
-// cadence: with N routes sharing MaxBurstsPerRound slots every
+// cadence: with N routes sharing maxBurstsPerRound slots every
 // BurstEvery rounds, consecutive bursts on one route are naturally
-// max(BurstEvery, ceil(N/K)) rounds apart — the throughput estimate must
-// not decay between two healthy bursts. Caller holds m.mu.
+// max(BurstEvery, ceil(N/maxBurstsPerRound)) rounds apart — the
+// throughput estimate must not decay between two healthy bursts. Caller
+// holds m.mu.
 func (m *Monitor) burstStaleAfterLocked() time.Duration {
 	n := len(m.order) + len(m.chains)
-	cadence := (n + m.cfg.MaxBurstsPerRound - 1) / m.cfg.MaxBurstsPerRound
+	cadence := (n + maxBurstsPerRound - 1) / maxBurstsPerRound
 	if m.cfg.BurstEvery > cadence {
 		cadence = m.cfg.BurstEvery
 	}
@@ -588,7 +542,7 @@ func (m *Monitor) integrate(results []probeResult, now time.Time) {
 
 // applyRankingLocked runs one view's ranking + hysteresis over the
 // freshly folded table. Caller holds m.mu.
-func (m *Monitor) applyRankingLocked(v *rankView, now time.Time) {
+func (m *Monitor) applyRankingLocked(v *View, now time.Time) {
 	ranked := m.rankForLocked(v, now)
 	if len(ranked) == 0 || ranked[0].Down {
 		// Nothing usable: keep the incumbent (connections may still work
@@ -599,7 +553,7 @@ func (m *Monitor) applyRankingLocked(v *rankView, now time.Time) {
 	if leader != v.lastRankFirst {
 		v.lastRankFirst = leader
 		m.scope.Event(obs.EventRankChange,
-			fmt.Sprintf("%sleader %s score %.4f", m.viewTag(v), leader, ranked[0].Score))
+			fmt.Sprintf("%sleader %s score %.4f", viewTag(v), leader, ranked[0].Score))
 	}
 
 	if !v.chosen {
@@ -607,8 +561,7 @@ func (m *Monitor) applyRankingLocked(v *rankView, now time.Time) {
 		// selection is not counted as a switch.
 		v.best = leader
 		v.chosen = true
-		m.syncBestLocked(v)
-		m.scope.Event(obs.EventPathSwitch, fmt.Sprintf("%sinitial best %s", m.viewTag(v), leader))
+		m.scope.Event(obs.EventPathSwitch, fmt.Sprintf("%sinitial best %s", viewTag(v), leader))
 		return
 	}
 
@@ -652,12 +605,12 @@ func rowScore(rows []RouteStatus, r Route) (float64, bool) {
 	return 0, false
 }
 
-// viewTag prefixes multi-view events with the objective, so one event
+// viewTag prefixes a view's events with its objective, so one event
 // stream stays readable when a latency view and a throughput view
-// disagree. The monitor's own (default) view is untagged — single-view
-// deployments read exactly as before. Caller holds m.mu.
-func (m *Monitor) viewTag(v *rankView) string {
-	if v == m.defView {
+// disagree. The latency view, which every monitor has, stays untagged,
+// so a node that ranks only by latency logs no tags.
+func viewTag(v *View) string {
+	if v.obj == ObjectiveLatency {
 		return ""
 	}
 	return "[" + v.obj.String() + "] "
@@ -848,32 +801,18 @@ func containsHop(hops []string, relay string) bool {
 }
 
 // commitSwitchLocked moves one view's best route. Caller holds m.mu.
-func (m *Monitor) commitSwitchLocked(v *rankView, to Route, why string) {
+func (m *Monitor) commitSwitchLocked(v *View, to Route, why string) {
 	from := v.best
 	v.best = to
 	v.challenger, v.streak = Route{}, 0
 	m.switches.Inc()
-	m.syncBestLocked(v)
-	m.scope.Event(obs.EventPathSwitch, fmt.Sprintf("%s%s -> %s (%s)", m.viewTag(v), from, to, why))
-}
-
-// syncBestLocked mirrors the default view's best-route kind into the
-// gauge (secondary views don't own the gauge). Caller holds m.mu.
-func (m *Monitor) syncBestLocked(v *rankView) {
-	if v != m.defView {
-		return
-	}
-	if v.best.IsDirect() {
-		m.bestDirec.Set(1)
-	} else {
-		m.bestDirec.Set(0)
-	}
+	m.scope.Event(obs.EventPathSwitch, fmt.Sprintf("%s%s -> %s (%s)", viewTag(v), from, to, why))
 }
 
 // rankForLocked builds one view's score-sorted table over every
 // candidate — the static set (direct + fleet) and the current chain
 // candidates — scored by the view's objective. Caller holds m.mu.
-func (m *Monitor) rankForLocked(v *rankView, now time.Time) []RouteStatus {
+func (m *Monitor) rankForLocked(v *View, now time.Time) []RouteStatus {
 	burstStale := m.burstStaleAfterLocked()
 	out := make([]RouteStatus, 0, len(m.order)+len(m.chains))
 	for _, p := range append(append([]Route(nil), m.order...), m.chains...) {
@@ -918,14 +857,13 @@ func (m *Monitor) Pin(p Route) {
 		m.states[p] = &pathState{route: p}
 		m.chains = append(m.chains, p)
 	}
-	m.syncBestLocked(m.defView)
 	m.scope.Event(obs.EventPathSwitch, fmt.Sprintf("pinned %s", p))
 	m.notifyLocked()
 }
 
 // Subscribe registers for ranking-change wakeups: the returned channel
 // receives a (coalesced) notification after every integrated probe round
-// and every Pin. Subscribers re-read Ranked()/Best() themselves — the
+// and every Pin. Subscribers re-read a view's Ranked()/Best() — the
 // channel carries no data, so a slow consumer misses nothing but
 // intermediate states. The unsubscribe func releases the registration.
 func (m *Monitor) Subscribe() (<-chan struct{}, func()) {
@@ -951,22 +889,11 @@ func (m *Monitor) notifyLocked() {
 	}
 }
 
-// Best returns the current best route under the monitor's configured
-// objective and whether one has been selected yet (false until the first
-// round with a usable result).
-func (m *Monitor) Best() (Route, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.defView.best, m.defView.chosen
-}
+// Best is the latency view's Best.
+func (m *Monitor) Best() (Route, bool) { return m.View(ObjectiveLatency).Best() }
 
-// Ranked returns the current route table sorted best-first under the
-// monitor's configured objective. Down routes sort last (score +Inf).
-func (m *Monitor) Ranked() []RouteStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rankForLocked(m.defView, m.now())
-}
+// Ranked is the latency view's Ranked.
+func (m *Monitor) Ranked() []RouteStatus { return m.View(ObjectiveLatency).Ranked() }
 
 // Rounds returns how many probe rounds have been integrated.
 func (m *Monitor) Rounds() int64 {

@@ -52,27 +52,6 @@ func TestObjectiveParseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestThroughputObjectiveNeedsBursts: ranked by throughput without
-// bursts, every route scores alike and no challenger can ever clear the
-// switch margin, so New refuses the combination and names both fields.
-// Composite without bursts ranks by latency, so it stays allowed.
-func TestThroughputObjectiveNeedsBursts(t *testing.T) {
-	_, err := New(Config{Dest: "192.0.2.1:9", Objective: ObjectiveThroughput})
-	if err == nil || !strings.Contains(err.Error(), "Objective") || !strings.Contains(err.Error(), "BurstDuration") {
-		t.Fatalf("throughput objective without bursts: err = %v, want one naming Objective and BurstDuration", err)
-	}
-	for _, cfg := range []Config{
-		{Dest: "192.0.2.1:9", Objective: ObjectiveThroughput, BurstDuration: time.Second},
-		{Dest: "192.0.2.1:9", Objective: ObjectiveComposite},
-	} {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New(%+v): %v", cfg, err)
-		}
-		_ = m.Close()
-	}
-}
-
 func TestObjectiveScoresTable(t *testing.T) {
 	a, b, c := MakeRoute("a:1"), MakeRoute("b:1"), MakeRoute("c:1")
 	// Score carries the latency metric (seconds) on entry, as rankForLocked
@@ -199,10 +178,10 @@ func TestStaleMbpsDecaysOutOfFirstPlace(t *testing.T) {
 	m, _ := synthMonitor(t, Config{
 		Fleet:         []string{relayA.First()},
 		Alpha:         1,
-		Objective:     ObjectiveThroughput,
 		BurstDuration: 100 * time.Millisecond,
 		Interval:      time.Second,
 	})
+	tp := m.View(ObjectiveThroughput)
 	now := time.Unix(1000, 0)
 
 	// Both routes burst once; the relay is 10x fatter and leads.
@@ -210,7 +189,7 @@ func TestStaleMbpsDecaysOutOfFirstPlace(t *testing.T) {
 		map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: 40 * time.Millisecond},
 		map[Route]float64{Direct: 10, relayA: 100})
 	m.now = func() time.Time { return now }
-	if ranked := m.Ranked(); ranked[0].Route != relayA {
+	if ranked := tp.Ranked(); ranked[0].Route != relayA {
 		t.Fatalf("fat relay not first under throughput objective: %+v", ranked)
 	}
 
@@ -223,7 +202,7 @@ func TestStaleMbpsDecaysOutOfFirstPlace(t *testing.T) {
 			map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: 40 * time.Millisecond},
 			map[Route]float64{Direct: 10})
 		m.now = func() time.Time { return now.Add(time.Duration(i) * time.Second) }
-		if ranked := m.Ranked(); ranked[0].Route == Direct {
+		if ranked := tp.Ranked(); ranked[0].Route == Direct {
 			flipped = i
 			break
 		}
@@ -246,11 +225,11 @@ func TestThroughputHysteresisHoldsMargin(t *testing.T) {
 	m, reg := synthMonitor(t, Config{
 		Fleet:         []string{relayA.First()},
 		Alpha:         1,
-		Objective:     ObjectiveThroughput,
 		BurstDuration: 100 * time.Millisecond,
 		SwitchMargin:  0.1,
 		SwitchRounds:  2,
 	})
+	tp := m.View(ObjectiveThroughput)
 	now := time.Unix(1000, 0)
 	tick := func() time.Time { now = now.Add(time.Second); return now }
 	rtts := map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: 40 * time.Millisecond}
@@ -258,7 +237,7 @@ func TestThroughputHysteresisHoldsMargin(t *testing.T) {
 	// Direct leads on throughput: it becomes the incumbent.
 	feedRound(m, tick(), rtts, map[Route]float64{Direct: 100, relayA: 50})
 	feedRound(m, tick(), rtts, map[Route]float64{Direct: 100, relayA: 50})
-	if best, ok := m.Best(); !ok || best != Direct {
+	if best, ok := tp.Best(); !ok || best != Direct {
 		t.Fatalf("initial best = %v (%v), want direct", best, ok)
 	}
 
@@ -267,7 +246,7 @@ func TestThroughputHysteresisHoldsMargin(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		feedRound(m, tick(), rtts, map[Route]float64{Direct: 100, relayA: 105})
 	}
-	if best, _ := m.Best(); best != Direct {
+	if best, _ := tp.Best(); best != Direct {
 		t.Fatalf("flapped to %v on a within-margin throughput lead", best)
 	}
 	if n := switches(reg); n != 0 {
@@ -278,7 +257,7 @@ func TestThroughputHysteresisHoldsMargin(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		feedRound(m, tick(), rtts, map[Route]float64{Direct: 100, relayA: 130})
 	}
-	if best, _ := m.Best(); best != relayA {
+	if best, _ := tp.Best(); best != relayA {
 		t.Fatalf("best = %v after a sustained 1.3x bandwidth lead, want %v", best, relayA)
 	}
 	if n := switches(reg); n != 1 {
@@ -297,11 +276,9 @@ func TestViewsDivergeByObjective(t *testing.T) {
 		BurstDuration: 100 * time.Millisecond,
 	})
 	tp := m.View(ObjectiveThroughput)
-	if again := m.View(ObjectiveThroughput); again.v != tp.v {
-		t.Fatal("repeated View(obj) did not share selection state")
-	}
-	if lat := m.View(ObjectiveLatency); lat.v != m.defView {
-		t.Fatal("View(configured objective) is not the monitor's own view")
+	lat := m.View(ObjectiveLatency)
+	if m.View(ObjectiveThroughput) != tp || m.View(ObjectiveLatency) != lat {
+		t.Fatal("a repeated View(obj) returned a different view")
 	}
 
 	// Direct: low RTT, thin. Relay: 4x the RTT, 10x the bandwidth.
@@ -312,11 +289,15 @@ func TestViewsDivergeByObjective(t *testing.T) {
 			map[Route]float64{Direct: 10, relayA: 100})
 	}
 	m.now = func() time.Time { return now.Add(2 * time.Second) }
-	if best, ok := m.Best(); !ok || best != Direct {
+	if best, ok := lat.Best(); !ok || best != Direct {
 		t.Fatalf("latency view best = %v (%v), want direct", best, ok)
 	}
 	if best, ok := tp.Best(); !ok || best != relayA {
 		t.Fatalf("throughput view best = %v (%v), want %v", best, ok, relayA)
+	}
+	// The views disagree, so this shows which one the Monitor reads.
+	if best, _ := m.Best(); best != Direct || m.Ranked()[0].Route != lat.Ranked()[0].Route {
+		t.Fatalf("Monitor.Best = %v, want the latency view's %v", best, Direct)
 	}
 	if ranked := tp.Ranked(); len(ranked) == 0 || !ranked[0].Best || ranked[0].Route != relayA {
 		t.Fatalf("throughput view table does not mark its own best: %+v", ranked)
@@ -329,5 +310,43 @@ func TestViewsDivergeByObjective(t *testing.T) {
 	}
 	if best, _ := tp.Best(); best != relayA {
 		t.Fatalf("throughput view best = %v after Pin, want %v", best, relayA)
+	}
+}
+
+// TestViewGaugesPerObjective: each view exports its own best-route gauges,
+// labelled with its objective. With the latency view on direct and the
+// throughput view on the fat relay, the two disagree in /metrics.
+func TestViewGaugesPerObjective(t *testing.T) {
+	relayA := MakeRoute("relay-a:9000")
+	m, reg := synthMonitor(t, Config{
+		Fleet:         []string{relayA.First()},
+		Alpha:         1,
+		BurstDuration: 100 * time.Millisecond,
+	})
+	tp := m.View(ObjectiveThroughput)
+	now := time.Unix(1000, 0)
+	for i := 0; i < 3; i++ {
+		feedRound(m, now.Add(time.Duration(i)*time.Second),
+			map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: 40 * time.Millisecond},
+			map[Route]float64{Direct: 10, relayA: 100})
+	}
+	m.now = func() time.Time { return now.Add(2 * time.Second) }
+	if best, _ := tp.Best(); best != relayA {
+		t.Fatalf("throughput view best = %v, want %v", best, relayA)
+	}
+
+	var sb strings.Builder
+	if err := reg.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`cronets_pathmon_best_is_direct{objective="latency"} 1`,
+		`cronets_pathmon_best_is_direct{objective="throughput"} 0`,
+		`cronets_pathmon_route_mbps{objective="latency"} 10`,
+		`cronets_pathmon_route_mbps{objective="throughput"} 100`,
+	} {
+		if !strings.Contains(sb.String(), line+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", line, sb.String())
+		}
 	}
 }

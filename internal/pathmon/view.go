@@ -1,61 +1,100 @@
 package pathmon
 
-// Objective views: one Monitor, several rankings. A View is a cheap
-// handle over the monitor's shared probe table that ranks it under its
-// own objective with its own hysteresis state — so a bulk listener
-// (throughput objective) and an interactive listener (latency objective)
-// share one probe budget, one burst cadence, and one event stream, yet
-// each commits to its own best route. A View satisfies the same
-// Best/Ranked/Subscribe contract as the Monitor itself (the gateway's
-// Ranker seam), so a gateway cannot tell which it was given.
+// Objective views: one Monitor, several rankings. Every ranking is a
+// View: a handle over the monitor's shared probe table that ranks it
+// under its own objective with its own hysteresis state — so a bulk
+// listener (throughput objective) and an interactive listener (latency
+// objective) share one probe budget, one burst cadence, and one event
+// stream, yet each commits to its own best route. A View is the
+// gateway's Ranker (Best/Ranked/Subscribe), and it serves its own
+// /debug/paths table and gauges.
+
+import (
+	"math"
+
+	"cronets/internal/obs"
+)
 
 // View is one objective's independently damped ranking over a Monitor's
 // probe data.
 type View struct {
-	m *Monitor
-	v *rankView
+	m   *Monitor
+	obj Objective
+
+	// The selection state below is guarded by m.mu.
+	best   Route
+	chosen bool // a best route has been selected
+	// challenger/streak implement switch hysteresis.
+	challenger    Route
+	streak        int
+	lastRankFirst Route
 }
 
 // View returns the monitor's ranking under obj, creating it on first
-// use. The view for the monitor's configured objective is the monitor's
-// own (Monitor.Best and a View of the same objective always agree).
-// A view created mid-flight starts unselected and adopts its initial
-// best on the next integrated round; creating it before Start avoids
-// the gap. Repeated calls for one objective share selection state.
-// Only bursts feed the throughput axis: on a monitor with BurstDuration
-// 0, a throughput view scores every route alike and never switches
-// (New refuses that objective as the monitor's own), and a composite
-// view ranks by latency.
+// use; every call for one objective returns the same *View. The latency
+// view exists from New on. A view created mid-flight starts unselected
+// and adopts its initial best on the next integrated round; creating it
+// before Start avoids the gap. Only bursts feed the throughput axis: on
+// a monitor with BurstDuration 0, a throughput view scores every route
+// alike and never switches, and a composite view ranks by latency.
 func (m *Monitor) View(obj Objective) *View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rv, ok := m.viewByObj[obj]
-	if !ok {
-		rv = &rankView{obj: obj}
-		m.viewByObj[obj] = rv
-		m.views = append(m.views, rv)
+	for _, v := range m.views {
+		if v.obj == obj {
+			return v
+		}
 	}
-	return &View{m: m, v: rv}
+	v := &View{m: m, obj: obj}
+	m.views = append(m.views, v)
+	v.instrument(m.cfg.Obs)
+	return v
+}
+
+// instrument registers the view's two gauges, labelled with its
+// objective.
+func (v *View) instrument(reg *obs.Registry) {
+	reg.GaugeFunc(obs.Label("cronets_pathmon_best_is_direct", "objective", v.obj.String()),
+		"1 when the view's committed best route is direct, 0 when it is a relay route or none is selected yet.",
+		func() int64 {
+			if best, ok := v.Best(); ok && best.IsDirect() {
+				return 1
+			}
+			return 0
+		})
+	reg.GaugeFunc(obs.Label("cronets_pathmon_route_mbps", "objective", v.obj.String()),
+		"Smoothed, staleness-decayed throughput estimate of the view's committed best route, in whole Mbps (0 before any completed burst).",
+		func() int64 {
+			m := v.m
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			st := m.states[v.best]
+			if !v.chosen || st == nil {
+				return 0
+			}
+			return int64(math.Round(st.effMbps(m.now(), m.burstStaleAfterLocked())))
+		})
 }
 
 // Best returns the view's current best route under its objective and
-// whether one has been selected yet.
-func (vw *View) Best() (Route, bool) {
-	vw.m.mu.Lock()
-	defer vw.m.mu.Unlock()
-	return vw.v.best, vw.v.chosen
+// whether one has been selected yet (false until the first round with a
+// usable result).
+func (v *View) Best() (Route, bool) {
+	v.m.mu.Lock()
+	defer v.m.mu.Unlock()
+	return v.best, v.chosen
 }
 
 // Ranked returns the route table sorted best-first under the view's
 // objective. Down routes sort last (score +Inf).
-func (vw *View) Ranked() []RouteStatus {
-	vw.m.mu.Lock()
-	defer vw.m.mu.Unlock()
-	return vw.m.rankForLocked(vw.v, vw.m.now())
+func (v *View) Ranked() []RouteStatus {
+	v.m.mu.Lock()
+	defer v.m.mu.Unlock()
+	return v.m.rankForLocked(v, v.m.now())
 }
 
 // Subscribe registers for the monitor's ranking-change wakeups (all
 // views share the probe rounds, so they share the notification stream).
-func (vw *View) Subscribe() (<-chan struct{}, func()) {
-	return vw.m.Subscribe()
+func (v *View) Subscribe() (<-chan struct{}, func()) {
+	return v.m.Subscribe()
 }
