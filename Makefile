@@ -47,10 +47,14 @@
 #   make loc          non-test Go lines per file outside benchmark/, and
 #                     their total, over the files git tracks: the line
 #                     counts ROADMAP.md and CHANGES.md quote
+#   make knobs        exported fields of every *Config and *Options struct
+#                     in the non-test Go files outside benchmark/ that git
+#                     tracks, one line per struct plus their total: the
+#                     knob counts DESIGN.md §10 and CHANGES.md quote
 
 GO ?= go
 
-.PHONY: build test test-short race race-repeat vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke fuzz-smoke loc
+.PHONY: build test test-short race race-repeat vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke fuzz-smoke loc knobs
 
 build:
 	$(GO) build ./...
@@ -142,3 +146,12 @@ loc:
 	@git ls-files -- '*.go' ':!:*_test.go' ':!:benchmark/' | \
 		while read -r f; do printf '%6d %s\n' "$$(wc -l < "$$f")" "$$f"; done | \
 		awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
+
+# A field line is one tab then an exported name; "A, B T" counts two.
+knobs:
+	@git ls-files -- '*.go' ':!:*_test.go' ':!:benchmark/' | xargs awk ' \
+		/^type [A-Za-z]*(Config|Options) struct \{/ { name = $$2; n = 0; inside = 1; next } \
+		inside && /^}/ { printf "%4d %s %s\n", n, FILENAME, name; total += n; inside = 0; next } \
+		inside && /^\t[A-Z]/ { match($$0, /^\t[A-Za-z0-9_]+(, *[A-Za-z0-9_]+)*/); \
+			names = substr($$0, 1, RLENGTH); n += gsub(/,/, ",", names) + 1 } \
+		END { printf "%4d total\n", total }'

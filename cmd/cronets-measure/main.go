@@ -115,7 +115,7 @@ func runClient(args []string) error {
 		return err
 	}
 	defer conn.Close()
-	res, err := measure.Throughput(ctx, conn, *duration, 0)
+	res, err := measure.Throughput(ctx, conn, *duration)
 	if err != nil {
 		return err
 	}

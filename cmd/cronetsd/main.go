@@ -367,7 +367,7 @@ func serveMetrics(addr string, reg *obs.Registry, tracer *flowtrace.Tracer, view
 		addr:        ln.Addr().String(),
 		srv:         &http.Server{Handler: mux},
 		ln:          ln,
-		stopRuntime: obs.StartRuntime(reg, 10*time.Second),
+		stopRuntime: obs.StartRuntime(reg),
 	}
 	go func() {
 		if err := m.srv.Serve(ln); err != nil && err != http.ErrServerClosed {

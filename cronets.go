@@ -88,5 +88,5 @@ func GenerateInternet(cfg Topology) (*Internet, error) { return topology.Generat
 // coupling, Reno subflow decrease, 100 Mbps NIC).
 func MeasureMPTCP(cn *CRONet, rng *rand.Rand, src, dst Host, dcs []string,
 	spec Spec, at time.Duration) (tcpsim.MPTCPResult, error) {
-	return cn.MeasureMPTCP(rng, src, dst, dcs, OLIA, tcpsim.Reno, 100, spec, at)
+	return cn.MeasureMPTCP(rng, src, dst, dcs, OLIA, tcpsim.Reno, spec, at)
 }

@@ -123,7 +123,7 @@ func timedUpload(addr string, runFor time.Duration) (float64, error) {
 		return 0, err
 	}
 	defer conn.Close()
-	res, err := measure.Throughput(context.Background(), conn, runFor, 64<<10)
+	res, err := measure.Throughput(context.Background(), conn, runFor)
 	if err != nil {
 		return 0, err
 	}

@@ -164,8 +164,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\n%s: avg RTT %.1f ms over %s\n",
-		best, float64(stats.Avg)/float64(time.Millisecond), chain.String(best.Hops()))
+	fmt.Printf("\n%s: avg RTT %.1f ms\n", best, float64(stats.Avg)/float64(time.Millisecond))
 	fmt.Println("every single-hop path crosses a 40 ms congested leg; the chain avoids them all.")
 	return nil
 }

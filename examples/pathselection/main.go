@@ -57,14 +57,14 @@ func run() error {
 	fmt.Printf("  best overlay (probed):    %6.1f Mbps  via %s\n", best.ThroughputMbps, best.DC)
 
 	coupled, err := cn.MeasureMPTCP(rng, src, dst, overlays,
-		cronets.OLIA, tcpsim.Reno, 100, spec, 0)
+		cronets.OLIA, tcpsim.Reno, spec, 0)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  MPTCP (OLIA, coupled):    %6.1f Mbps  — no probing needed\n", coupled.TotalMbps)
 
 	uncoupled, err := cn.MeasureMPTCP(rng, src, dst, overlays,
-		cronets.Uncoupled, tcpsim.Cubic, 100, spec, 0)
+		cronets.Uncoupled, tcpsim.Cubic, spec, 0)
 	if err != nil {
 		return err
 	}

@@ -161,7 +161,7 @@ func throughputDemo() error {
 			return err
 		}
 		defer conn2.Close()
-		thr, err := measure.Throughput(context.Background(), conn2, 2*time.Second, 64<<10)
+		thr, err := measure.Throughput(context.Background(), conn2, 2*time.Second)
 		if err != nil {
 			return err
 		}

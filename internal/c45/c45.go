@@ -27,19 +27,23 @@ type Sample struct {
 
 // Config controls tree induction.
 type Config struct {
-	// MinLeaf is the minimum number of samples in a leaf (default 2).
-	MinLeaf int
 	// MaxDepth caps tree depth (default 12).
 	MaxDepth int
 	// Prune enables pessimistic-error pruning (default on via DefaultConfig).
 	Prune bool
-	// PruneCF is the pruning confidence factor (C4.5's default 0.25).
-	PruneCF float64
 }
+
+// C4.5's standard settings.
+const (
+	// minLeaf is the minimum number of samples in a leaf.
+	minLeaf = 2
+	// pruneCF is the pruning confidence factor.
+	pruneCF = 0.25
+)
 
 // DefaultConfig returns C4.5's standard settings.
 func DefaultConfig() Config {
-	return Config{MinLeaf: 2, MaxDepth: 12, Prune: true, PruneCF: 0.25}
+	return Config{MaxDepth: 12, Prune: true}
 }
 
 // Tree is a trained decision tree.
@@ -78,15 +82,12 @@ func Train(samples []Sample, attrNames []string, cfg Config) (*Tree, error) {
 			return nil, fmt.Errorf("c45: sample %d has %d attrs, want %d", i, len(s.Attrs), len(attrNames))
 		}
 	}
-	if cfg.MinLeaf <= 0 {
-		cfg.MinLeaf = 2
-	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 12
 	}
 	root := build(samples, cfg, 0)
 	if cfg.Prune {
-		prune(root, cfg.PruneCF)
+		prune(root, pruneCF)
 	}
 	return &Tree{root: root, attrNames: append([]string(nil), attrNames...)}, nil
 }
@@ -200,10 +201,10 @@ func (t *Tree) Leaves() int {
 func build(samples []Sample, cfg Config, depth int) *node {
 	label, count := majority(samples)
 	leaf := &node{leaf: true, label: label, n: len(samples), errs: len(samples) - count}
-	if count == len(samples) || depth >= cfg.MaxDepth || len(samples) < 2*cfg.MinLeaf {
+	if count == len(samples) || depth >= cfg.MaxDepth || len(samples) < 2*minLeaf {
 		return leaf
 	}
-	attr, threshold, gain := bestSplit(samples, cfg.MinLeaf)
+	attr, threshold, gain := bestSplit(samples)
 	if attr < 0 || gain <= 0 {
 		return leaf
 	}
@@ -215,7 +216,7 @@ func build(samples []Sample, cfg Config, depth int) *node {
 			right = append(right, s)
 		}
 	}
-	if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
+	if len(left) < minLeaf || len(right) < minLeaf {
 		return leaf
 	}
 	return &node{
@@ -234,7 +235,7 @@ func build(samples []Sample, cfg Config, depth int) *node {
 // information gain by the split's intrinsic information to avoid biasing
 // toward fragmenting splits). Gain ratio is only considered for splits
 // whose raw gain is at least the average positive gain, per Quinlan.
-func bestSplit(samples []Sample, minLeaf int) (int, float64, float64) {
+func bestSplit(samples []Sample) (int, float64, float64) {
 	if len(samples) == 0 {
 		return -1, 0, 0
 	}

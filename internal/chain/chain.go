@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"cronets/internal/flowtrace"
@@ -62,9 +61,6 @@ func (e *HopError) Error() string {
 }
 
 func (e *HopError) Unwrap() error { return e.Err }
-
-// String renders a hop list as a display name ("a>b>c").
-func String(hops []string) string { return strings.Join(hops, ">") }
 
 // Dial establishes one connection to target through the ordered relay
 // chain: a TCP dial to hops[0], then one CONNECT per hop. A single-hop

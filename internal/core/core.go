@@ -151,9 +151,6 @@ type Config struct {
 	Flow tcpsim.Config
 	// RelayBufferBytes sizes the split proxy's relay buffer.
 	RelayBufferBytes int64
-	// RelayOverhead is the per-packet processing delay at an overlay node
-	// in tunnel (non-split) mode.
-	RelayOverhead time.Duration
 	// TunnelHeaderBytes is the per-packet encapsulation overhead of the
 	// GRE/IPsec tunnel in plain overlay mode, which shrinks the effective
 	// MSS of the end-to-end connection.
@@ -171,11 +168,19 @@ func DefaultConfig() Config {
 	return Config{
 		Flow:              tcpsim.DefaultConfig(),
 		RelayBufferBytes:  4 << 20,
-		RelayOverhead:     250 * time.Microsecond,
 		TunnelHeaderBytes: 40, // GRE over IP
 		RelayLossRate:     4e-5,
 	}
 }
+
+const (
+	// relayOverhead is the per-packet processing delay at an overlay node
+	// in tunnel (non-split) mode.
+	relayOverhead = 250 * time.Microsecond
+	// nicMbps is the endpoint NIC that an MPTCP connection's subflows
+	// share: the paper's 100 Mbps DC VM port.
+	nicMbps = 100
+)
 
 // CRONet is a cloud-routed overlay network over a generated Internet: a set
 // of overlay nodes (cloud data centers) plus the machinery to measure and
@@ -253,7 +258,7 @@ func (c *CRONet) MeasureOverlay(rng *rand.Rand, src, dst topology.Host, dcCity s
 	if tunnelFlow.MSSBytes > c.cfg.TunnelHeaderBytes {
 		tunnelFlow.MSSBytes -= c.cfg.TunnelHeaderBytes
 	}
-	tunnelPath := tcpsim.ConcatPath(seg1, seg2, c.cfg.RelayOverhead)
+	tunnelPath := tcpsim.ConcatPath(seg1, seg2, relayOverhead)
 	if c.cfg.RelayLossRate > 0 {
 		inner := tunnelPath
 		tunnelPath = func(at time.Duration) netsim.Metrics {
@@ -318,13 +323,12 @@ func (c *CRONet) MeasurePair(rng *rand.Rand, src, dst topology.Host, dcs []strin
 }
 
 // MeasureMPTCP runs one MPTCP connection across the direct path plus one
-// subflow per overlay data center, with the given congestion coupling. The
-// sender never probes paths: the coupled controller discovers the best one.
-// The result's SubflowMbps holds the direct path first, then one entry per
-// overlay DC.
+// subflow per overlay data center, with the given congestion coupling; the
+// subflows share the endpoint's 100 Mbps NIC. The sender never probes
+// paths: the coupled controller discovers the best one. The result's
+// SubflowMbps holds the direct path first, then one entry per overlay DC.
 func (c *CRONet) MeasureMPTCP(rng *rand.Rand, src, dst topology.Host, dcs []string,
-	coupling tcpsim.Coupling, alg tcpsim.Algorithm, nicMbps float64,
-	spec tcpsim.Spec, at time.Duration) (tcpsim.MPTCPResult, error) {
+	coupling tcpsim.Coupling, alg tcpsim.Algorithm, spec tcpsim.Spec, at time.Duration) (tcpsim.MPTCPResult, error) {
 
 	direct, err := c.in.RouterPath(src, dst)
 	if err != nil {
@@ -348,7 +352,7 @@ func (c *CRONet) MeasureMPTCP(rng *rand.Rand, src, dst topology.Host, dcs []stri
 		if err != nil {
 			return tcpsim.MPTCPResult{}, err
 		}
-		paths = append(paths, tcpsim.ConcatPath(seg1, seg2, c.cfg.RelayOverhead))
+		paths = append(paths, tcpsim.ConcatPath(seg1, seg2, relayOverhead))
 	}
 	flow := c.cfg.Flow
 	flow.Alg = alg

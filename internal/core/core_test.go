@@ -148,7 +148,7 @@ func TestMeasureMPTCP(t *testing.T) {
 	dst := in.DCs[in.DCOrder[1]]
 	overlays := in.DCOrder[2:]
 	res, err := cn.MeasureMPTCP(rng, src, dst, overlays,
-		tcpsim.OLIA, tcpsim.Reno, 100, tcpsim.Spec{Duration: 20 * time.Second}, 0)
+		tcpsim.OLIA, tcpsim.Reno, tcpsim.Spec{Duration: 20 * time.Second}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func mptcpDigest(t *testing.T, runs []mptcpRun) string {
 	var vs []uint64
 	for _, r := range runs {
 		res, err := cn.MeasureMPTCP(rand.New(rand.NewSource(r.seed)), in.Servers[r.server], in.Clients[r.client],
-			cn.DCCities(), r.coupling, r.alg, 100, tcpsim.Spec{Duration: 10 * time.Second}, r.at)
+			cn.DCCities(), r.coupling, r.alg, tcpsim.Spec{Duration: 10 * time.Second}, r.at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func BenchmarkMeasureMPTCP(b *testing.B) {
 			coupling tcpsim.Coupling
 			alg      tcpsim.Algorithm
 		}{{tcpsim.OLIA, tcpsim.Reno}, {tcpsim.Uncoupled, tcpsim.Cubic}} {
-			if _, err := cn.MeasureMPTCP(rand.New(rand.NewSource(1)), src, dst, dcs, c.coupling, c.alg, 100, spec, 0); err != nil {
+			if _, err := cn.MeasureMPTCP(rand.New(rand.NewSource(1)), src, dst, dcs, c.coupling, c.alg, spec, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

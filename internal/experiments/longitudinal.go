@@ -12,25 +12,26 @@ import (
 
 // LongitudinalConfig parameterizes the Section IV experiment. Defaults
 // match the paper: the 30 most-improved paths, 50 samples at a 3-hour
-// interval over a week.
+// interval (longitudinalInterval) over a week.
 type LongitudinalConfig struct {
-	TopPaths     int
-	Samples      int
-	Interval     time.Duration
-	Start        time.Duration // first sample time (after the transient event)
-	TolerancePct float64       // "as good as the best" tolerance for Figure 7
+	TopPaths int
+	Samples  int
 }
 
 // DefaultLongitudinalConfig returns the paper's setup.
 func DefaultLongitudinalConfig() LongitudinalConfig {
-	return LongitudinalConfig{
-		TopPaths:     30,
-		Samples:      50,
-		Interval:     3 * time.Hour,
-		Start:        transientEventEnd + time.Hour,
-		TolerancePct: 5,
-	}
+	return LongitudinalConfig{TopPaths: 30, Samples: 50}
 }
+
+const (
+	// longitudinalInterval spaces the Section IV samples.
+	longitudinalInterval = 3 * time.Hour
+	// longitudinalStart is the first sample time (after the transient
+	// event).
+	longitudinalStart = transientEventEnd + time.Hour
+	// minNodesTolerancePct is Figure 7's "as good as the best" tolerance.
+	minNodesTolerancePct = 5
+)
 
 // LongitudinalPath is one of the tracked paths with its per-sample
 // measurements.
@@ -140,9 +141,9 @@ func (r LongitudinalResult) FracNeedingAtMost(k int) float64 {
 
 // RunLongitudinal reproduces Section IV: select the TopPaths controlled
 // pairs with the highest split-overlay improvement, then resample direct
-// and per-DC split-overlay throughput Samples times at Interval spacing,
-// starting after the transient event window (so the event-affected paths
-// saturate, as the paper observed for its indexes 1, 2 and 4).
+// and per-DC split-overlay throughput Samples times, longitudinalInterval
+// apart, starting after the transient event window (so the event-affected
+// paths saturate, as the paper observed for its indexes 1, 2 and 4).
 func (s *Suite) RunLongitudinal(controlled PrevalenceResult, cfg LongitudinalConfig) (LongitudinalResult, error) {
 	if cfg.TopPaths <= 0 || cfg.Samples <= 0 {
 		return LongitudinalResult{}, fmt.Errorf("experiments: longitudinal config needs paths and samples")
@@ -180,7 +181,7 @@ func (s *Suite) RunLongitudinal(controlled PrevalenceResult, cfg LongitudinalCon
 			DCs:         dcs,
 		}
 		for sample := 0; sample < cfg.Samples; sample++ {
-			at := cfg.Start + time.Duration(sample)*cfg.Interval
+			at := longitudinalStart + time.Duration(sample)*longitudinalInterval
 			rng := s.rngFor("longitudinal", idx*10_000+sample)
 			direct, _, err := s.CN.MeasureDirect(rng, src, dst, spec, at)
 			if err != nil {
@@ -197,7 +198,7 @@ func (s *Suite) RunLongitudinal(controlled PrevalenceResult, cfg LongitudinalCon
 		}
 		out.Paths = append(out.Paths, lp)
 		out.Rows = append(out.Rows, fig6Row(lp))
-		out.MinOverlayNodes = append(out.MinOverlayNodes, minOverlayNodes(lp, cfg.TolerancePct))
+		out.MinOverlayNodes = append(out.MinOverlayNodes, minOverlayNodes(lp, minNodesTolerancePct))
 	}
 	out.NodeCountRows = nodeCountRows(out.Paths)
 	return out, nil

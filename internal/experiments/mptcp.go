@@ -13,31 +13,32 @@ import (
 
 // MPTCPConfig parameterizes the Section VI validation. Defaults match the
 // paper: 9 servers, 72 ordered pairs, focus on the 15 worst direct paths,
-// 1-minute iperf runs, 5 iterations at 6-hour intervals.
+// 5 iterations of a 1-minute iperf run (mptcpRunLength) at 6-hour
+// intervals (mptcpInterval).
 type MPTCPConfig struct {
 	WorstPaths int
 	Iterations int
-	Interval   time.Duration
-	RunLength  time.Duration
 	// Coupling selects the congestion coupling (OLIA for Figure 12,
 	// Uncoupled for Figure 13).
 	Coupling tcpsim.Coupling
 	// Alg is the per-subflow algorithm (Cubic for the uncoupled runs).
 	Alg tcpsim.Algorithm
-	// NICMbps is the endpoint NIC all subflows share.
-	NICMbps float64
 }
+
+const (
+	// mptcpInterval spaces the iterations of the Section VI runs.
+	mptcpInterval = 6 * time.Hour
+	// mptcpRunLength is one iperf run's length.
+	mptcpRunLength = time.Minute
+)
 
 // DefaultMPTCPConfig returns the Figure 12 setup (OLIA).
 func DefaultMPTCPConfig() MPTCPConfig {
 	return MPTCPConfig{
 		WorstPaths: 15,
 		Iterations: 5,
-		Interval:   6 * time.Hour,
-		RunLength:  time.Minute,
 		Coupling:   tcpsim.OLIA,
 		Alg:        tcpsim.Reno,
-		NICMbps:    100,
 	}
 }
 
@@ -108,7 +109,7 @@ func (s *Suite) RunMPTCP(cfg MPTCPConfig) (MPTCPResult, error) {
 	if len(dcs) < 3 {
 		return MPTCPResult{}, fmt.Errorf("experiments: mptcp needs at least 3 DCs, got %d", len(dcs))
 	}
-	spec := tcpsim.Spec{Duration: cfg.RunLength}
+	spec := tcpsim.Spec{Duration: mptcpRunLength}
 
 	// Rank ordered pairs by direct throughput at the first sample time.
 	type pair struct {
@@ -146,7 +147,7 @@ func (s *Suite) RunMPTCP(cfg MPTCPConfig) (MPTCPResult, error) {
 		}
 		var direct, overlay, split, mptcp []float64
 		for it := 0; it < cfg.Iterations; it++ {
-			at := transientEventEnd + time.Duration(it)*cfg.Interval
+			at := transientEventEnd + time.Duration(it)*mptcpInterval
 			rng := s.rngFor("mptcp-run", pi*1000+it)
 			pr, err := s.CN.MeasurePair(rng, p.src, p.dst, overlayDCs, spec, at)
 			if err != nil {
@@ -160,7 +161,7 @@ func (s *Suite) RunMPTCP(cfg MPTCPConfig) (MPTCPResult, error) {
 				split = append(split, m.ThroughputMbps)
 			}
 			mp, err := s.CN.MeasureMPTCP(rng, p.src, p.dst, overlayDCs,
-				cfg.Coupling, cfg.Alg, cfg.NICMbps, spec, at)
+				cfg.Coupling, cfg.Alg, spec, at)
 			if err != nil {
 				return MPTCPResult{}, fmt.Errorf("experiments: mptcp run %s->%s: %w", p.src.Name, p.dst.Name, err)
 			}

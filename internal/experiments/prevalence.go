@@ -39,11 +39,6 @@ func (r PrevalenceResult) PlainCDF() *stats.CDF { return stats.NewCDF(finiteOnly
 // (the dashed curve of Figure 2).
 func (r PrevalenceResult) SplitCDF() *stats.CDF { return stats.NewCDF(finiteOnly(r.SplitRatios)) }
 
-// DiscreteCDF returns the CDF of discrete-overlay ratios (Figure 3).
-func (r PrevalenceResult) DiscreteCDF() *stats.CDF {
-	return stats.NewCDF(finiteOnly(r.DiscreteRatios))
-}
-
 // RunRealLife reproduces the Section III-A experiment behind Figure 2:
 // every client downloads a 100 MB file from every real-life server, over
 // the direct path and through each of the overlay data centers (plain and

@@ -105,22 +105,22 @@ type Result struct {
 // windows), so it is a failure, never a sample.
 var ErrTruncatedBurst = errors.New("measure: throughput burst truncated")
 
+// chunkBytes is the write size of a Throughput upload.
+const chunkBytes = 128 << 10
+
 // Throughput runs one iperf-style burst over an established connection to
 // a measure.Server, which may pass through relays: the sink-mode byte,
-// then a timed upload of exactly duration in chunkBytes writes (default
-// 128 KiB). The connection's deadline tracks ctx, so a blackholed path
-// (zero-window peer, silent middlebox) fails instead of hanging the
-// caller. Any upload error — ctx expiring mid-window included — is
-// ErrTruncatedBurst wrapping the cause: callers get a full window's Mbps
-// or an error, never a number measured over less than duration.
-func Throughput(ctx context.Context, conn net.Conn, duration time.Duration, chunkBytes int) (Result, error) {
+// then a timed upload of exactly duration in chunkBytes writes. The
+// connection's deadline tracks ctx, so a blackholed path (zero-window
+// peer, silent middlebox) fails instead of hanging the caller. Any upload
+// error — ctx expiring mid-window included — is ErrTruncatedBurst
+// wrapping the cause: callers get a full window's Mbps or an error, never
+// a number measured over less than duration.
+func Throughput(ctx context.Context, conn net.Conn, duration time.Duration) (Result, error) {
 	stop := pinDeadline(ctx, conn)
 	defer stop()
 	if _, err := conn.Write([]byte{modeSink}); err != nil {
 		return Result{}, ctxError(ctx, fmt.Errorf("measure: sink preamble: %w", err))
-	}
-	if chunkBytes <= 0 {
-		chunkBytes = 128 << 10
 	}
 	buf := pipe.Get(chunkBytes)
 	defer pipe.Put(buf)

@@ -78,7 +78,7 @@ func TestThroughputContextBlackholeTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = Throughput(ctx, conn, 5*time.Second, 256<<10)
+	_, err = Throughput(ctx, conn, 5*time.Second)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("Throughput succeeded through a blackholed path")

@@ -30,7 +30,7 @@ func TestThroughputSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	res, err := Throughput(context.Background(), conn, 200*time.Millisecond, 64<<10)
+	res, err := Throughput(context.Background(), conn, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestThroughputBurstFullWindow(t *testing.T) {
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	res, err := Throughput(ctx, conn, 150*time.Millisecond, 64<<10)
+	res, err := Throughput(ctx, conn, 150*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestThroughputBurstTruncatedIsError(t *testing.T) {
 	defer conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	res, err := Throughput(ctx, conn, 10*time.Second, 64<<10)
+	res, err := Throughput(ctx, conn, 10*time.Second)
 	if !errors.Is(err, ErrTruncatedBurst) {
 		t.Fatalf("err = %v (result %+v), want ErrTruncatedBurst", err, res)
 	}

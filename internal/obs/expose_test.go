@@ -212,7 +212,7 @@ func TestHistogramExpositionAboveTopBucket(t *testing.T) {
 }
 
 func TestStartRuntime(t *testing.T) {
-	if stop := StartRuntime(nil, time.Second); stop == nil {
+	if stop := StartRuntime(nil); stop == nil {
 		t.Fatal("nil registry returned nil stop")
 	} else {
 		stop()
@@ -220,7 +220,7 @@ func TestStartRuntime(t *testing.T) {
 
 	r := NewRegistry()
 	runtime.GC() // ensure at least one pause is in the MemStats ring
-	stop := StartRuntime(r, time.Hour)
+	stop := StartRuntime(r)
 	defer stop()
 	snap := r.Snapshot()
 	if g, ok := snap["cronets_runtime_goroutines"].(int64); !ok || g < 1 {

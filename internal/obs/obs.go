@@ -128,12 +128,6 @@ var LatencyBuckets = []float64{
 	0.001, 0.002, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// SizeBuckets is the default histogram scale for byte sizes: 256 B to
-// 16 MiB, quadrupling.
-var SizeBuckets = []float64{
-	256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216,
-}
-
 // metricKind discriminates registered instruments.
 type metricKind uint8
 

@@ -11,9 +11,12 @@ var RuntimeBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
 }
 
+// runtimeInterval is StartRuntime's sampling period.
+const runtimeInterval = 10 * time.Second
+
 // StartRuntime registers Go runtime telemetry under cronets_runtime_*
-// and samples it every interval (default 10 s) until the returned stop
-// function is called:
+// and samples it every runtimeInterval until the returned stop function
+// is called:
 //
 //   - cronets_runtime_goroutines and cronets_runtime_gomaxprocs are
 //     gauges read live at scrape time;
@@ -24,12 +27,9 @@ var RuntimeBuckets = []float64{
 //     MemStats pause ring, so pauses are never double-counted).
 //
 // A nil registry returns a no-op stop function.
-func StartRuntime(r *Registry, interval time.Duration) (stop func()) {
+func StartRuntime(r *Registry) (stop func()) {
 	if r == nil {
 		return func() {}
-	}
-	if interval <= 0 {
-		interval = 10 * time.Second
 	}
 	r.GaugeFunc("cronets_runtime_goroutines",
 		"Live goroutine count.", func() int64 { return int64(runtime.NumGoroutine()) })
@@ -66,7 +66,7 @@ func StartRuntime(r *Registry, interval time.Duration) (stop func()) {
 
 	stopc := make(chan struct{})
 	go func() {
-		t := time.NewTicker(interval)
+		t := time.NewTicker(runtimeInterval)
 		defer t.Stop()
 		for {
 			select {

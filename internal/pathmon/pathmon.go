@@ -161,6 +161,11 @@ type Monitor struct {
 	// views holds every ranking, in creation order (the latency view
 	// first).
 	views []*View
+	// pin is the route Pin forced, and pinned whether Pin ran since the
+	// last integrated round: View starts a view created in that window on
+	// pin, as Pin would have had the view existed.
+	pin    Route
+	pinned bool
 	// burstCursor round-robins the per-round burst slots across routes.
 	burstCursor int
 	roundsDone  int64
@@ -491,7 +496,7 @@ func (m *Monitor) burst(ctx context.Context, p Route) (float64, error) {
 		return 0, err
 	}
 	defer conn.Close()
-	res, err := measure.Throughput(ctx, conn, m.cfg.BurstDuration, 0)
+	res, err := measure.Throughput(ctx, conn, m.cfg.BurstDuration)
 	if err != nil {
 		return 0, err
 	}
@@ -508,6 +513,7 @@ func (m *Monitor) integrate(results []probeResult, now time.Time) {
 	defer m.rebuildChainsLocked(now)
 	m.roundsDone++
 	m.rounds.Inc()
+	m.pinned = false
 
 	for _, r := range results {
 		st := m.states[r.route]
@@ -844,7 +850,8 @@ func (m *Monitor) rankForLocked(v *View, now time.Time) []RouteStatus {
 // outside the current candidate set: a pinned route gets a state and a
 // probe-set slot, and the pin holds until a later round's hysteresis
 // commits a switch away from it, exactly as if the monitor had chosen
-// the route itself.
+// the route itself. A view created before the next integrated round
+// starts on the pinned route too.
 func (m *Monitor) Pin(p Route) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -853,6 +860,7 @@ func (m *Monitor) Pin(p Route) {
 		v.chosen = true
 		v.challenger, v.streak = Route{}, 0
 	}
+	m.pin, m.pinned = p, true
 	if m.states[p] == nil {
 		m.states[p] = &pathState{route: p}
 		m.chains = append(m.chains, p)

@@ -313,6 +313,34 @@ func TestViewsDivergeByObjective(t *testing.T) {
 	}
 }
 
+// TestPinHoldsForLaterViews: a Pin also holds for a view created after
+// it and before the next integrated round, so a gateway that follows such
+// a view dials the pinned route, not direct, even on a monitor that is
+// never started. After that round the window is closed: a new view starts
+// unselected and adopts the next round's leader.
+func TestPinHoldsForLaterViews(t *testing.T) {
+	relayA := MakeRoute("relay-a:9000")
+	m, _ := synthMonitor(t, Config{
+		Fleet:         []string{relayA.First()},
+		Alpha:         1,
+		BurstDuration: 100 * time.Millisecond,
+	})
+	m.Pin(relayA)
+	tp := m.View(ObjectiveThroughput)
+	if best, ok := tp.Best(); !ok || best != relayA {
+		t.Fatalf("view created after Pin: best = %v (%v), want %v", best, ok, relayA)
+	}
+
+	round(m, time.Unix(1000, 0),
+		map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: 40 * time.Millisecond})
+	if best, _ := tp.Best(); best != relayA {
+		t.Fatalf("pinned view left %v after one round, want hysteresis to hold it", relayA)
+	}
+	if best, ok := m.View(ObjectiveComposite).Best(); ok {
+		t.Fatalf("view created after an integrated round started on %v, want unselected", best)
+	}
+}
+
 // TestViewGaugesPerObjective: each view exports its own best-route gauges,
 // labelled with its objective. With the latency view on direct and the
 // throughput view on the fat relay, the two disagree in /metrics.

@@ -34,9 +34,11 @@ type View struct {
 // use; every call for one objective returns the same *View. The latency
 // view exists from New on. A view created mid-flight starts unselected
 // and adopts its initial best on the next integrated round; creating it
-// before Start avoids the gap. Only bursts feed the throughput axis: on
-// a monitor with BurstDuration 0, a throughput view scores every route
-// alike and never switches, and a composite view ranks by latency.
+// before Start avoids the gap. A view created after a Pin and before the
+// next integrated round starts on the pinned route. Only bursts feed the
+// throughput axis: on a monitor with BurstDuration 0, a throughput view
+// scores every route alike and never switches, and a composite view ranks
+// by latency.
 func (m *Monitor) View(obj Objective) *View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -46,6 +48,9 @@ func (m *Monitor) View(obj Objective) *View {
 		}
 	}
 	v := &View{m: m, obj: obj}
+	if m.pinned {
+		v.best, v.chosen = m.pin, true
+	}
 	m.views = append(m.views, v)
 	v.instrument(m.cfg.Obs)
 	return v

@@ -7,15 +7,10 @@
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by functions that cannot produce a meaningful result
-// for an empty sample.
-var ErrEmpty = errors.New("stats: empty sample")
 
 // Mean returns the arithmetic mean of xs. It returns 0 for an empty sample.
 func Mean(xs []float64) float64 {

@@ -126,7 +126,7 @@ func RunSplitChain(rng *rand.Rand, segments []PathFunc, cfg SplitConfig, spec Sp
 		}
 		times[i] += out.rtt
 		if out.timeout {
-			times[i] += rtoFor(out.rtt, cfg.Flow.MinRTO)
+			times[i] += rtoFor(out.rtt)
 		}
 	}
 	elapsed := times[n-1]

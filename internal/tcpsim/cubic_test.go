@@ -90,7 +90,7 @@ const (
 func runCubicScript(t *testing.T, cfg Config, rng *rand.Rand, script []cubicEvent) *refCubic {
 	t.Helper()
 	f := newFlow(cfg)
-	ref := &refCubic{cfg: cfg, cwnd: cfg.InitCwnd, ssth: math.Inf(1)}
+	ref := &refCubic{cfg: cfg, cwnd: initCwnd, ssth: math.Inf(1)}
 	var now time.Duration
 	for i, ev := range script {
 		rtt := 10*time.Millisecond + time.Duration(rng.Int63n(int64(290*time.Millisecond)))

@@ -167,7 +167,7 @@ func RunMPTCP(rng *rand.Rand, paths []PathFunc, cfg MPTCPConfig, spec Spec) (MPT
 		switch {
 		case out.timeout:
 			f.onTimeout()
-			f.now += out.rtt + rtoFor(out.rtt, cfg.Flow.MinRTO)
+			f.now += out.rtt + rtoFor(out.rtt)
 			f.rateMbps *= 0.5
 		case out.lost > 0:
 			f.onLoss(f.now)

@@ -74,7 +74,7 @@ func refRunSplit(rng *rand.Rand, first, second PathFunc, cfg SplitConfig, spec S
 			srcSent += got
 			t1 += out.rtt
 			if out.timeout {
-				t1 += rtoFor(out.rtt, cfg.Flow.MinRTO)
+				t1 += rtoFor(out.rtt)
 			}
 		} else {
 			if spec.Duration > 0 && t2 >= spec.Duration {
@@ -99,7 +99,7 @@ func refRunSplit(rng *rand.Rand, first, second PathFunc, cfg SplitConfig, spec S
 			delivered += got
 			t2 += out.rtt
 			if out.timeout {
-				t2 += rtoFor(out.rtt, cfg.Flow.MinRTO)
+				t2 += rtoFor(out.rtt)
 			}
 		}
 	}

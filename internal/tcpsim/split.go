@@ -34,7 +34,7 @@ func RunSplit(rng *rand.Rand, first, second PathFunc, cfg SplitConfig, spec Spec
 
 // rtoFor is the retransmission timeout after a round of rtt: twice the
 // RTT, but at least minRTO.
-func rtoFor(rtt, minRTO time.Duration) time.Duration {
+func rtoFor(rtt time.Duration) time.Duration {
 	rto := rtt * 2
 	if rto < minRTO {
 		rto = minRTO

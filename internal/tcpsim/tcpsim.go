@@ -85,20 +85,24 @@ type Config struct {
 	Alg Algorithm
 	// MSSBytes is the maximum segment size.
 	MSSBytes int
-	// InitCwnd is the initial congestion window in segments.
-	InitCwnd float64
 	// MaxCwnd caps the window in segments (receive-window stand-in).
 	MaxCwnd float64
 	// BufferBDP is the bottleneck buffer size as a multiple of the path
 	// bandwidth-delay product.
 	BufferBDP float64
-	// MinRTO is the minimum retransmission timeout.
-	MinRTO time.Duration
 }
 
+const (
+	// initCwnd is the initial congestion window in segments (IW10).
+	initCwnd = 10
+	// minRTO is the minimum retransmission timeout.
+	minRTO = time.Second
+)
+
 // DefaultConfig returns the standard flow parameters (Linux-like defaults
-// of the paper's era: 1460-byte MSS, IW10, one-BDP buffers, 1 s minimum
-// RTO, CUBIC, and a ~1.5 MB receive window). The receive-window cap is
+// of the paper's era: 1460-byte MSS, 0.4-BDP bottleneck buffers, CUBIC,
+// and a ~1.5 MB receive window; every flow starts at IW10 and keeps a 1 s
+// minimum RTO, the constants above). The receive-window cap is
 // load-bearing: it makes throughput proportional to 1/RTT on clean paths,
 // which is why the plain tunnel's RTT detour often loses while split-TCP's
 // RTT halving wins (the paper's Section II analysis).
@@ -106,10 +110,8 @@ func DefaultConfig() Config {
 	return Config{
 		Alg:       Cubic,
 		MSSBytes:  1460,
-		InitCwnd:  10,
 		MaxCwnd:   1024,
 		BufferBDP: 0.4,
-		MinRTO:    time.Second,
 	}
 }
 
@@ -172,7 +174,7 @@ type flow struct {
 }
 
 func newFlow(cfg Config) *flow {
-	return &flow{cfg: cfg, cwnd: cfg.InitCwnd, ssth: math.Inf(1)}
+	return &flow{cfg: cfg, cwnd: initCwnd, ssth: math.Inf(1)}
 }
 
 // cubicBeta and cubicC are the standard CUBIC constants.
@@ -357,7 +359,7 @@ func Run(rng *rand.Rand, path PathFunc, cfg Config, spec Spec) (Result, error) {
 		out := f.step(rng, m, now, limit)
 		bytes += int64(out.delivered) * mss
 		if out.timeout {
-			now += rtoFor(out.rtt, cfg.MinRTO)
+			now += rtoFor(out.rtt)
 		} else {
 			now += out.rtt
 		}

@@ -13,16 +13,14 @@ import (
 	"cronets/internal/netsim"
 )
 
-// Config parameterizes topology generation. The zero value is not usable;
-// start from DefaultConfig.
+// Config parameterizes topology generation: the seed, the endpoint
+// counts, the data centers, and the few calibration values an experiment
+// varies. The rest of the calibration is constant (see makeLink). The
+// zero value is not usable; start from DefaultConfig.
 type Config struct {
 	// Seed drives all randomness; equal seeds produce equal topologies.
 	Seed int64
 
-	// NumTier1 is the number of Tier-1 (transit-free) providers.
-	NumTier1 int
-	// NumTier2 is the number of regional Tier-2 providers.
-	NumTier2 int
 	// ClientStubs and ServerStubs are the number of stub ASes hosting one
 	// client (resp. server) each.
 	ClientStubs int
@@ -30,63 +28,14 @@ type Config struct {
 
 	// CloudDCCities names the catalog cities hosting cloud data centers.
 	CloudDCCities []string
+	// CloudNICMbps is the DC VM's virtual NIC capacity (paper: 100 Mbps).
+	CloudNICMbps float64
 
-	// Core link parameters (Tier-1 backbone and Tier-1 peering). These
-	// links are the congested middle of the Internet. Link quality is
-	// bimodal: with probability CoreHotProb a link is a "hot" bottleneck
-	// (utilization 0.80-0.95, loss log-uniform up to CoreLossMax);
-	// otherwise it is cool (utilization in [CoreUtilMin, CoreUtilMax],
-	// loss log-uniform up to CoreCoolLossMax). The bimodality produces the
-	// paper's polarity: most default paths are fine, a minority cross a
-	// bottleneck and are hugely improvable.
-	CoreCapacityMbps float64
-	CoreHotProb      float64
-	CoreUtilMin      float64
-	CoreUtilMax      float64
-	CoreLossMax      float64
-	CoreCoolLossMax  float64
-	CoreQueueMax     time.Duration
-
-	// Regional (Tier-2) link parameters, with the same hot/cool split.
-	RegionalCapacityMbps float64
-	RegionalHotProb      float64
-	RegionalUtilMin      float64
-	RegionalUtilMax      float64
-	RegionalLossMax      float64
-	RegionalCoolLossMax  float64
-	RegionalQueueMax     time.Duration
-
-	// Access link parameters (stub <-> Tier-2 and host <-> stub router).
-	ClientAccessMbps float64
-	ServerAccessMbps float64
-	AccessUtilMax    float64
-	AccessLossMax    float64
-	AccessQueueMax   time.Duration
-
-	// Cloud parameters.
-	CloudNICMbps         float64       // DC VM virtual NIC (paper: 100 Mbps)
-	CloudBackboneMbps    float64       // private DC-to-DC backbone
-	CloudBackboneUtil    float64       // background load on the backbone
-	CloudBackboneLossMax float64       // heavy-tail loss cap on backbone links
-	CloudPeeringMbps     float64       // IXP peering link capacity
-	CloudPeeringUtil     float64       // background load on peering links
-	CloudLoss            float64       // loss rate on cloud peering/NIC links
-	CloudQueueMax        time.Duration // queueing cap on cloud-owned links
-
-	// RelayOverhead is the per-packet processing delay added by an overlay
-	// node (decapsulation, NAT rewrite, re-encapsulation).
-	RelayOverhead time.Duration
-
-	// Tier2PeerProb is the probability that two same-continent Tier-2 ASes
-	// peer directly at an IXP.
-	Tier2PeerProb float64
-	// StubSecondHomingProb is the probability a stub is multi-homed to a
-	// second provider.
-	StubSecondHomingProb float64
-	// CloudTier2PeerProb is the probability the cloud AS peers with a
-	// Tier-2 AS sharing a continent with one of its DCs (aggressive IXP
-	// peering is a core premise of the paper).
-	CloudTier2PeerProb float64
+	// CoreHotProb and RegionalHotProb are the probabilities that a core
+	// (Tier-1) or regional (Tier-2) link is a hot bottleneck rather than
+	// a cool link (see makeLink).
+	CoreHotProb     float64
+	RegionalHotProb float64
 }
 
 // DefaultConfig returns the configuration used by the paper-scale
@@ -97,50 +46,14 @@ type Config struct {
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:        seed,
-		NumTier1:    8,
-		NumTier2:    24,
 		ClientStubs: 110,
 		ServerStubs: 10,
 		CloudDCCities: []string{
 			"WashingtonDC", "SanJose", "Dallas", "Amsterdam", "Tokyo",
 		},
-
-		CoreCapacityMbps: 40000,
-		CoreHotProb:      0.09,
-		CoreUtilMin:      0.25,
-		CoreUtilMax:      0.65,
-		CoreLossMax:      0.0004,
-		CoreCoolLossMax:  0.001,
-		CoreQueueMax:     110 * time.Millisecond,
-
-		RegionalCapacityMbps: 10000,
-		RegionalHotProb:      0.10,
-		RegionalUtilMin:      0.10,
-		RegionalUtilMax:      0.45,
-		RegionalLossMax:      0.0004,
-		RegionalCoolLossMax:  0.00004,
-		RegionalQueueMax:     25 * time.Millisecond,
-
-		ClientAccessMbps: 100,
-		ServerAccessMbps: 15,
-		AccessUtilMax:    0.25,
-		AccessLossMax:    0.00005,
-		AccessQueueMax:   8 * time.Millisecond,
-
-		CloudNICMbps:         100,
-		CloudBackboneMbps:    40000,
-		CloudBackboneUtil:    0.15,
-		CloudBackboneLossMax: 0.00005,
-		CloudPeeringMbps:     10000,
-		CloudPeeringUtil:     0.15,
-		CloudLoss:            0.000002,
-		CloudQueueMax:        8 * time.Millisecond,
-
-		RelayOverhead: 250 * time.Microsecond,
-
-		Tier2PeerProb:        0.30,
-		StubSecondHomingProb: 0.50,
-		CloudTier2PeerProb:   0.20,
+		CloudNICMbps:    100,
+		CoreHotProb:     0.09,
+		RegionalHotProb: 0.10,
 	}
 }
 
@@ -172,9 +85,6 @@ type Internet struct {
 	dist *distTable
 }
 
-// Config returns the configuration the Internet was generated with.
-func (in *Internet) Config() Config { return in.cfg }
-
 // AS returns the AS with the given ASN.
 func (in *Internet) AS(asn int) (*AS, error) {
 	if asn < 1 || asn > len(in.ASes) {
@@ -185,10 +95,6 @@ func (in *Internet) AS(asn int) (*AS, error) {
 
 // Generate builds an Internet from the configuration.
 func Generate(cfg Config) (*Internet, error) {
-	if cfg.NumTier1 < 2 || cfg.NumTier2 < 2 {
-		return nil, fmt.Errorf("topology: need at least 2 tier-1 and 2 tier-2 ASes, got %d/%d",
-			cfg.NumTier1, cfg.NumTier2)
-	}
 	if len(cfg.CloudDCCities) == 0 {
 		return nil, fmt.Errorf("topology: need at least one cloud DC city")
 	}
@@ -212,7 +118,7 @@ func Generate(cfg Config) (*Internet, error) {
 	// inside the provider's own backbone, as in real transit networks),
 	// plus extra PoPs in major cities.
 	continentsAll := []string{"NA", "EU", "AS", "SA", "OC"}
-	for i := 0; i < cfg.NumTier1; i++ {
+	for i := 0; i < numTier1; i++ {
 		a := in.newAS(fmt.Sprintf("T1-%d", i), Tier1)
 		seen := make(map[string]bool)
 		for _, cont := range continentsAll {
@@ -234,7 +140,7 @@ func Generate(cfg Config) (*Internet, error) {
 
 	// Tier-2 providers: regional, 2-5 cities on one continent.
 	continents := []string{"NA", "EU", "AS", "SA", "OC"}
-	for i := 0; i < cfg.NumTier2; i++ {
+	for i := 0; i < numTier2; i++ {
 		cont := continents[i%len(continents)]
 		regional := citiesOn[cont]
 		if len(regional) == 0 {
@@ -264,9 +170,9 @@ func Generate(cfg Config) (*Internet, error) {
 			A: vm, B: router,
 			Delay:           200 * time.Microsecond,
 			CapacityMbps:    cfg.CloudNICMbps,
-			BaseLossRate:    cfg.CloudLoss,
+			BaseLossRate:    cloudLoss,
 			BaseUtilization: 0.02,
-			MaxQueueDelay:   cfg.CloudQueueMax,
+			MaxQueueDelay:   cloudQueueMax,
 		}); err != nil {
 			return nil, err
 		}
@@ -307,7 +213,7 @@ func Generate(cfg Config) (*Internet, error) {
 	}
 	for i := 0; i < len(t2s); i++ {
 		for j := i + 1; j < len(t2s); j++ {
-			if sameContinent(t2s[i], t2s[j]) && rng.Float64() < cfg.Tier2PeerProb {
+			if sameContinent(t2s[i], t2s[j]) && rng.Float64() < tier2PeerProb {
 				if err := in.connectASes(rng, t2s[i], t2s[j], relPeer, linkRegional); err != nil {
 					return nil, err
 				}
@@ -323,7 +229,7 @@ func Generate(cfg Config) (*Internet, error) {
 		}
 	}
 	for _, t2 := range t2s {
-		if in.cloudSharesContinent(t2) && rng.Float64() < cfg.CloudTier2PeerProb {
+		if in.cloudSharesContinent(t2) && rng.Float64() < cloudTier2PeerProb {
 			if err := in.connectASes(rng, cloud, t2, relPeer, linkCloudPeering); err != nil {
 				return nil, err
 			}
@@ -353,7 +259,7 @@ func Generate(cfg Config) (*Internet, error) {
 		regional := citiesOn[cont]
 		city := regional[rng.Intn(len(regional))]
 		h, err := in.addStubHost(rng, t2s, fmt.Sprintf("client-%s-%d", city.Name, i),
-			city, RoleClient, cfg.ClientAccessMbps)
+			city, RoleClient, clientAccessMbps)
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +276,7 @@ func Generate(cfg Config) (*Internet, error) {
 			return nil, fmt.Errorf("topology: unknown server city %q", name)
 		}
 		h, err := in.addStubHost(rng, t2s, fmt.Sprintf("server-%s-%d", city.Name, i),
-			city, RoleServer, cfg.ServerAccessMbps)
+			city, RoleServer, serverAccessMbps)
 		if err != nil {
 			return nil, err
 		}
@@ -412,7 +318,72 @@ const (
 	linkCloudBackbone
 )
 
-// makeLink draws link parameters from the class's configured ranges.
+// The calibration that no experiment varies, read by Generate and
+// makeLink. Config keeps the values an experiment changes.
+const (
+	// numTier1 is the number of Tier-1 (transit-free) providers.
+	numTier1 = 8
+	// numTier2 is the number of regional Tier-2 providers.
+	numTier2 = 24
+
+	// Core link parameters (Tier-1 backbone and Tier-1 peering). These
+	// links are the congested middle of the Internet. Link quality is
+	// bimodal: with probability Config.CoreHotProb a link is a "hot"
+	// bottleneck (utilization uniform in 0.80-0.92, loss log-uniform in
+	// [1e-4, coreLossMax]); otherwise it is cool (utilization uniform in
+	// [coreUtilMin, coreUtilMax], loss log-uniform in [1e-6,
+	// coreCoolLossMax]). The bimodality produces the paper's polarity:
+	// most default paths are fine, a minority cross a bottleneck and are
+	// hugely improvable.
+	coreCapacityMbps = 40000
+	coreUtilMin      = 0.25
+	coreUtilMax      = 0.65
+	coreLossMax      = 0.0004
+	coreCoolLossMax  = 0.001
+	coreQueueMax     = 110 * time.Millisecond
+
+	// Regional (Tier-2) link parameters, with the same hot/cool split
+	// (probability Config.RegionalHotProb): a hot link runs at
+	// utilization uniform in 0.70-0.90 with loss log-uniform in [1e-4,
+	// regionalLossMax]; a cool one at utilization uniform in
+	// [regionalUtilMin, regionalUtilMax] with loss log-uniform in [1e-7,
+	// regionalCoolLossMax].
+	regionalCapacityMbps = 10000
+	regionalUtilMin      = 0.10
+	regionalUtilMax      = 0.45
+	regionalLossMax      = 0.0004
+	regionalCoolLossMax  = 0.00004
+	regionalQueueMax     = 25 * time.Millisecond
+
+	// Access link parameters (stub <-> Tier-2 and host <-> stub router).
+	clientAccessMbps = 100
+	serverAccessMbps = 15
+	accessUtilMax    = 0.25
+	accessLossMax    = 0.00005
+	accessQueueMax   = 8 * time.Millisecond
+
+	// Cloud parameters.
+	cloudBackboneMbps    = 40000                // private DC-to-DC backbone
+	cloudBackboneUtil    = 0.15                 // background load on the backbone
+	cloudBackboneLossMax = 0.00005              // heavy-tail loss cap on backbone links
+	cloudPeeringMbps     = 10000                // IXP peering link capacity
+	cloudPeeringUtil     = 0.15                 // background load on peering links
+	cloudLoss            = 0.000002             // loss rate on cloud peering/NIC links
+	cloudQueueMax        = 8 * time.Millisecond // queueing cap on cloud-owned links
+
+	// tier2PeerProb is the probability that two same-continent Tier-2
+	// ASes peer directly at an IXP.
+	tier2PeerProb = 0.30
+	// stubSecondHomingProb is the probability a stub is multi-homed to a
+	// second provider.
+	stubSecondHomingProb = 0.50
+	// cloudTier2PeerProb is the probability the cloud AS peers with a
+	// Tier-2 AS sharing a continent with one of its DCs (aggressive IXP
+	// peering is a core premise of the paper).
+	cloudTier2PeerProb = 0.20
+)
+
+// makeLink draws link parameters from the class's calibrated ranges.
 func (in *Internet) makeLink(rng *rand.Rand, a, b netsim.NodeID, class linkClass) netsim.Link {
 	cfg := in.cfg
 	na, nb := in.Net.MustNode(a), in.Net.MustNode(b)
@@ -420,16 +391,16 @@ func (in *Internet) makeLink(rng *rand.Rand, a, b netsim.NodeID, class linkClass
 	l := netsim.Link{A: a, B: b, Delay: delay}
 	switch class {
 	case linkCore:
-		l.CapacityMbps = cfg.CoreCapacityMbps
+		l.CapacityMbps = coreCapacityMbps
 		hot := rng.Float64() < cfg.CoreHotProb
 		if hot {
 			l.BaseUtilization = uniform(rng, 0.80, 0.92)
-			l.BaseLossRate = logUniform(rng, 1e-4, cfg.CoreLossMax)
+			l.BaseLossRate = logUniform(rng, 1e-4, coreLossMax)
 		} else {
-			l.BaseUtilization = uniform(rng, cfg.CoreUtilMin, cfg.CoreUtilMax)
-			l.BaseLossRate = logUniform(rng, 1e-6, cfg.CoreCoolLossMax)
+			l.BaseUtilization = uniform(rng, coreUtilMin, coreUtilMax)
+			l.BaseLossRate = logUniform(rng, 1e-6, coreCoolLossMax)
 		}
-		l.MaxQueueDelay = cfg.CoreQueueMax
+		l.MaxQueueDelay = coreQueueMax
 		// Day-night load swing on ordinary links; chronic bottlenecks are
 		// saturated around the clock, so their badness persists (the
 		// stability behind Figure 6's longitudinal gains).
@@ -439,44 +410,44 @@ func (in *Internet) makeLink(rng *rand.Rand, a, b netsim.NodeID, class linkClass
 			l.DiurnalAmplitude = amp
 		}
 	case linkRegional:
-		l.CapacityMbps = cfg.RegionalCapacityMbps
+		l.CapacityMbps = regionalCapacityMbps
 		hot := rng.Float64() < cfg.RegionalHotProb
 		if hot {
 			l.BaseUtilization = uniform(rng, 0.70, 0.90)
-			l.BaseLossRate = logUniform(rng, 1e-4, cfg.RegionalLossMax)
+			l.BaseLossRate = logUniform(rng, 1e-4, regionalLossMax)
 		} else {
-			l.BaseUtilization = uniform(rng, cfg.RegionalUtilMin, cfg.RegionalUtilMax)
-			l.BaseLossRate = logUniform(rng, 1e-7, cfg.RegionalCoolLossMax)
+			l.BaseUtilization = uniform(rng, regionalUtilMin, regionalUtilMax)
+			l.BaseLossRate = logUniform(rng, 1e-7, regionalCoolLossMax)
 		}
-		l.MaxQueueDelay = cfg.RegionalQueueMax
+		l.MaxQueueDelay = regionalQueueMax
 		amp := rng.Float64() * 0.02
 		l.DiurnalPhase = rng.Float64()
 		if !hot {
 			l.DiurnalAmplitude = amp
 		}
 	case linkAccess:
-		l.CapacityMbps = cfg.ClientAccessMbps
-		l.BaseUtilization = rng.Float64() * cfg.AccessUtilMax
-		l.BaseLossRate = logUniform(rng, 1e-8, cfg.AccessLossMax)
-		l.MaxQueueDelay = cfg.AccessQueueMax
+		l.CapacityMbps = clientAccessMbps
+		l.BaseUtilization = rng.Float64() * accessUtilMax
+		l.BaseLossRate = logUniform(rng, 1e-8, accessLossMax)
+		l.MaxQueueDelay = accessQueueMax
 	case linkStubUplink:
 		// Stub-to-provider uplinks are provisioned cleanly: the paper's
 		// premise (after Akella et al.) is that bottlenecks live in the
 		// core, not on the first ISP hop.
-		l.CapacityMbps = cfg.RegionalCapacityMbps
+		l.CapacityMbps = regionalCapacityMbps
 		l.BaseUtilization = uniform(rng, 0.05, 0.35)
-		l.BaseLossRate = logUniform(rng, 1e-7, cfg.AccessLossMax)
+		l.BaseLossRate = logUniform(rng, 1e-7, accessLossMax)
 		l.MaxQueueDelay = 10 * time.Millisecond
 	case linkCloudPeering:
-		l.CapacityMbps = cfg.CloudPeeringMbps
-		l.BaseUtilization = rng.Float64() * cfg.CloudPeeringUtil
-		l.BaseLossRate = cfg.CloudLoss
-		l.MaxQueueDelay = cfg.CloudQueueMax
+		l.CapacityMbps = cloudPeeringMbps
+		l.BaseUtilization = rng.Float64() * cloudPeeringUtil
+		l.BaseLossRate = cloudLoss
+		l.MaxQueueDelay = cloudQueueMax
 	case linkCloudBackbone:
-		l.CapacityMbps = cfg.CloudBackboneMbps
-		l.BaseUtilization = cfg.CloudBackboneUtil
-		l.BaseLossRate = logUniform(rng, 1e-7, cfg.CloudBackboneLossMax)
-		l.MaxQueueDelay = cfg.CloudQueueMax
+		l.CapacityMbps = cloudBackboneMbps
+		l.BaseUtilization = cloudBackboneUtil
+		l.BaseLossRate = logUniform(rng, 1e-7, cloudBackboneLossMax)
+		l.MaxQueueDelay = cloudQueueMax
 	}
 	return l
 }
@@ -630,7 +601,7 @@ func (in *Internet) addStubHost(rng *rand.Rand, t2s []*AS, name string, city geo
 	if err := in.connectASes(rng, stub, providers[0], relCustomer, linkStubUplink); err != nil {
 		return Host{}, err
 	}
-	if len(providers) > 1 && rng.Float64() < in.cfg.StubSecondHomingProb {
+	if len(providers) > 1 && rng.Float64() < stubSecondHomingProb {
 		if err := in.connectASes(rng, stub, providers[1], relCustomer, linkStubUplink); err != nil {
 			return Host{}, err
 		}

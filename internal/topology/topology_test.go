@@ -29,11 +29,6 @@ func generate(t *testing.T, seed int64) *Internet {
 
 func TestGenerateValidation(t *testing.T) {
 	cfg := DefaultConfig(1)
-	cfg.NumTier1 = 1
-	if _, err := Generate(cfg); err == nil {
-		t.Error("expected error for too few tier-1 ASes")
-	}
-	cfg = DefaultConfig(1)
 	cfg.CloudDCCities = nil
 	if _, err := Generate(cfg); err == nil {
 		t.Error("expected error for no DC cities")

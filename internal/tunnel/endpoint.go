@@ -119,10 +119,10 @@ type OverlayNode struct {
 }
 
 // NewOverlayNode builds a relay with the given external address.
-func NewOverlayNode(tunnelSide io.ReadWriter, external netip.Addr, network PacketNetwork, natOpts ...NATOption) *OverlayNode {
+func NewOverlayNode(tunnelSide io.ReadWriter, external netip.Addr, network PacketNetwork) *OverlayNode {
 	return &OverlayNode{
 		tunnel: NewEndpoint(tunnelSide),
-		nat:    NewNAT(external, natOpts...),
+		nat:    NewNAT(external),
 		net:    network,
 		stop:   make(chan struct{}),
 	}

@@ -2,7 +2,6 @@ package tunnel
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
 	"sync"
 	"time"
@@ -33,10 +32,11 @@ type natEntry struct {
 // The zero value is not usable; construct with NewNAT.
 type NAT struct {
 	external netip.Addr
-	loPort   uint16
-	hiPort   uint16
-	idle     time.Duration
-	now      func() time.Time
+	// loPort..hiPort is the masquerade port range: natLoPort..natHiPort,
+	// narrowed by a test that exhausts it.
+	loPort, hiPort uint16
+	// now is the clock, injectable by tests.
+	now func() time.Time
 
 	mu      sync.Mutex
 	byKey   map[natKey]*natEntry
@@ -44,41 +44,26 @@ type NAT struct {
 	nextTry uint16
 }
 
-// NATOption customizes a NAT.
-type NATOption func(*NAT)
-
-// WithPortRange sets the masquerade port range (default 40000-60000).
-func WithPortRange(lo, hi uint16) NATOption {
-	return func(n *NAT) { n.loPort, n.hiPort = lo, hi }
-}
-
-// WithIdleTimeout sets the entry idle expiry (default 5 minutes).
-func WithIdleTimeout(d time.Duration) NATOption {
-	return func(n *NAT) { n.idle = d }
-}
-
-// WithClock injects a time source for tests.
-func WithClock(now func() time.Time) NATOption {
-	return func(n *NAT) { n.now = now }
-}
+const (
+	// natLoPort and natHiPort bound the masquerade port range.
+	natLoPort = 40000
+	natHiPort = 60000
+	// natIdle is the entry idle expiry.
+	natIdle = 5 * time.Minute
+)
 
 // NewNAT creates a masquerade table translating to the given external
 // address.
-func NewNAT(external netip.Addr, opts ...NATOption) *NAT {
-	n := &NAT{
+func NewNAT(external netip.Addr) *NAT {
+	return &NAT{
 		external: external,
-		loPort:   40000,
-		hiPort:   60000,
-		idle:     5 * time.Minute,
+		loPort:   natLoPort,
+		hiPort:   natHiPort,
 		now:      time.Now,
 		byKey:    make(map[natKey]*natEntry),
 		byPort:   make(map[uint16]*natEntry),
+		nextTry:  natLoPort,
 	}
-	for _, o := range opts {
-		o(n)
-	}
-	n.nextTry = n.loPort
-	return n
 }
 
 // TranslateOutbound rewrites an outbound packet's source to the NAT's
@@ -140,9 +125,6 @@ func (n *NAT) External() netip.Addr { return n.external }
 
 func (n *NAT) allocPortLocked() (uint16, error) {
 	span := int(n.hiPort) - int(n.loPort) + 1
-	if span <= 0 {
-		return 0, fmt.Errorf("tunnel: invalid NAT port range %d-%d", n.loPort, n.hiPort)
-	}
 	for i := 0; i < span; i++ {
 		port := n.nextTry
 		if n.nextTry == n.hiPort {
@@ -158,11 +140,8 @@ func (n *NAT) allocPortLocked() (uint16, error) {
 }
 
 func (n *NAT) expireLocked(now time.Time) {
-	if n.idle <= 0 {
-		return
-	}
 	for port, e := range n.byPort {
-		if now.Sub(e.lastSeen) > n.idle {
+		if now.Sub(e.lastSeen) > natIdle {
 			delete(n.byPort, port)
 			delete(n.byKey, e.key)
 		}

@@ -238,8 +238,8 @@ func TestNATRejectsStrangers(t *testing.T) {
 
 func TestNATExpiry(t *testing.T) {
 	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	n := NewNAT(natAddr(), WithIdleTimeout(time.Minute), WithClock(clock))
+	n := NewNAT(natAddr())
+	n.now = func() time.Time { return now }
 	p := Packet{Proto: ProtoTCP, Src: addrPort("10.0.0.5:3333"), Dst: addrPort("192.0.2.9:80")}
 	if _, err := n.TranslateOutbound(p); err != nil {
 		t.Fatal(err)
@@ -247,14 +247,21 @@ func TestNATExpiry(t *testing.T) {
 	if n.Len() != 1 {
 		t.Fatal("entry missing")
 	}
-	now = now.Add(2 * time.Minute)
+	now = now.Add(natIdle)
+	if n.Len() != 1 {
+		t.Fatal("entry expired at exactly the idle timeout")
+	}
+	now = now.Add(time.Second)
 	if n.Len() != 0 {
 		t.Error("idle entry not expired")
 	}
 }
 
+// TestNATPortExhaustion narrows the port range to three ports: walking
+// the real 20,001 would take seconds.
 func TestNATPortExhaustion(t *testing.T) {
-	n := NewNAT(natAddr(), WithPortRange(50000, 50002))
+	n := NewNAT(natAddr())
+	n.loPort, n.hiPort, n.nextTry = 50000, 50002, 50000
 	for i := 0; i < 3; i++ {
 		p := Packet{
 			Proto: ProtoTCP,
