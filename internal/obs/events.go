@@ -103,18 +103,26 @@ type Event struct {
 // DefaultEventCapacity is the ring size used by NewRegistry.
 const DefaultEventCapacity = 1024
 
-// EventRing is a fixed-capacity ring buffer of flow events. Recording is
-// cheap (one mutexed slot write); the ring overwrites oldest-first. A nil
-// *EventRing is a valid no-op sink.
+// EventRing is a bounded ring buffer of flow events. Recording is cheap
+// (one mutexed slot write); once full, the ring overwrites oldest-first.
+// A nil *EventRing is a valid no-op sink.
 //
-// The ring stores each event as a 32 B slot with one pointer, not as an
-// Event (72 B, four pointers): every registry holds a full ring for its
-// whole life, and the garbage collector scans it on every cycle.
+// The ring allocates its slots as events arrive: minSlots on the first
+// Record, then double whenever they fill, up to the capacity. A ring that
+// has recorded k events holds at most max(minSlots, 2k) slots, so a
+// registry that sees few events (a standby relay, a gateway carrying
+// long-lived flows) stays small; a full ring holds exactly its capacity
+// and records without allocating. Each event is a 32 B slot with one
+// pointer, not an Event (72 B, four pointers): a busy registry holds a
+// full ring for the rest of its life, and the garbage collector scans it
+// on every cycle.
 type EventRing struct {
-	mu    sync.Mutex
-	buf   []slot
-	next  int
-	total uint64
+	mu  sync.Mutex
+	buf []slot
+	// capacity bounds len(buf); the ring is full when they are equal.
+	capacity int
+	next     int
+	total    uint64
 	// names holds every component and type name the ring has recorded,
 	// in first-seen order; slots index it.
 	names []string
@@ -136,12 +144,13 @@ type slot struct {
 // reach it.
 const spilled = math.MaxUint8
 
+// minSlots is the number of slots a ring allocates on its first Record.
+const minSlots = 16
+
 // NewEventRing creates a ring holding up to capacity events (minimum 1).
+// It allocates no slots until the first Record.
 func NewEventRing(capacity int) *EventRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventRing{buf: make([]slot, 0, capacity)}
+	return &EventRing{capacity: max(capacity, 1)}
 }
 
 // Record appends an event, overwriting the oldest once full. No-op on nil.
@@ -152,7 +161,10 @@ func (r *EventRing) Record(component string, t EventType, detail string) {
 	at := time.Now().UnixNano()
 	r.mu.Lock()
 	i := r.next
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.capacity {
+		if len(r.buf) == cap(r.buf) {
+			r.grow()
+		}
 		r.buf = r.buf[:i+1]
 	} else if r.spill != nil {
 		delete(r.spill, i)
@@ -165,9 +177,17 @@ func (r *EventRing) Record(component string, t EventType, detail string) {
 		r.spill[i] = Event{Component: component, Type: t}
 	}
 	r.buf[i] = s
-	r.next = (i + 1) % cap(r.buf)
+	r.next = (i + 1) % r.capacity
 	r.total++
 	r.mu.Unlock()
+}
+
+// grow doubles the ring's slots, from minSlots up to its capacity. Slots
+// keep their positions, and so their spilled names. Caller holds r.mu.
+func (r *EventRing) grow() {
+	buf := make([]slot, len(r.buf), min(max(2*cap(r.buf), minSlots), r.capacity))
+	copy(buf, r.buf)
+	r.buf = buf
 }
 
 // nameIndex returns name's index in r.names, adding it on first sight,
@@ -194,7 +214,7 @@ func (r *EventRing) Snapshot() []Event {
 	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.buf))
 	start := 0
-	if len(r.buf) == cap(r.buf) {
+	if len(r.buf) == r.capacity {
 		start = r.next
 	}
 	for k := range r.buf {
