@@ -20,6 +20,8 @@
 #                     (core.MeasureMPTCP), set-up (the paper-scale
 #                     topology.Generate) and routing (building every BGP
 #                     route table, and warm router-path lookups)
+#   make bench-compile  the same benchmarks, one iteration each, so they
+#                     cannot rot (CI runs it)
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
 #   make bench-smoke  allocation and footprint gate: the chain failover
@@ -55,7 +57,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-repeat vet lint fmt check bench trace-smoke bench-smoke benchmark-smoke fuzz-smoke loc knobs
+.PHONY: build test test-short race race-repeat vet lint fmt check bench bench-compile trace-smoke bench-smoke benchmark-smoke fuzz-smoke loc knobs
 
 build:
 	$(GO) build ./...
@@ -107,8 +109,14 @@ fmt:
 
 check: fmt vet test race
 
+# The benchmarks bench and bench-compile run.
+BENCH := PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair|MeasureMPTCP|TopologyGenerate|RoutesFor|RouterPath
+
 bench:
-	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound|MeasurePair|MeasureMPTCP|TopologyGenerate|RoutesFor|RouterPath' -benchmem ./...
+	$(GO) test -run=NONE -bench='$(BENCH)' -benchmem ./...
+
+bench-compile:
+	$(GO) test -run=NONE -bench='$(BENCH)' -benchtime=1x ./...
 
 # The alloc gate runs without -race (the race runtime adds allocations of
 # its own); the e2e runs with it.

@@ -18,7 +18,6 @@ package connpool
 
 import (
 	"context"
-	"errors"
 	"net"
 	"strconv"
 	"sync"
@@ -26,21 +25,9 @@ import (
 
 	"cronets/internal/obs"
 	"cronets/internal/pathmon"
+	"cronets/internal/pipe"
 	"cronets/internal/relay"
 )
-
-// Ranker supplies the control-plane view the filler follows. It is
-// satisfied by *pathmon.Monitor; tests substitute synthetic rankings.
-type Ranker interface {
-	// Best returns the committed best route (false before the first
-	// usable round).
-	Best() (pathmon.Route, bool)
-	// Ranked returns the current route table sorted best-first.
-	Ranked() []pathmon.RouteStatus
-	// Subscribe returns a coalesced ranking-change wakeup channel and an
-	// unsubscribe func.
-	Subscribe() (<-chan struct{}, func())
-}
 
 const (
 	// fillInterval is the background filler period: the TTL-expiry and
@@ -68,9 +55,9 @@ type Config struct {
 	// SizePerRelay is the warm-connection target per warmed relay
 	// (default 2).
 	SizePerRelay int
-	// Ranker supplies relay rankings (usually the *pathmon.Monitor);
+	// Ranker supplies relay rankings (usually a *pathmon.View);
 	// required.
-	Ranker Ranker
+	Ranker pathmon.Ranker
 	// Dialer overrides the relay dialer (tests).
 	Dialer relay.Dialer
 	// Obs receives the pool's metrics and events (nil disables
@@ -413,14 +400,8 @@ func deadlineAlive(c net.Conn) bool {
 	}
 	var b [1]byte
 	n, err := c.Read(b[:])
-	if n > 0 || !isTimeout(err) {
+	if n > 0 || !pipe.IsTimeout(err) {
 		return false
 	}
 	return c.SetReadDeadline(time.Time{}) == nil
-}
-
-// isTimeout reports whether err is a read-deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

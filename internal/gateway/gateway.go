@@ -24,26 +24,6 @@ import (
 	"cronets/internal/relay"
 )
 
-// Ranker supplies the control-plane route ranking a Gateway follows: a
-// *pathmon.View, one objective's ranking of a monitor's probe data. The
-// routing objective is chosen per listener: hand a bulk listener
-// mon.View(pathmon.ObjectiveThroughput) and an interactive listener
-// mon.View(pathmon.ObjectiveLatency), and both share one probe budget
-// while committing to their own best routes (the warm pool follows
-// whichever ranking its gateway was given). *pathmon.Monitor satisfies it
-// too, as its latency view. Tests substitute scripted rankings to
-// exercise the dial fallback ladder without sockets.
-type Ranker interface {
-	// Best returns the hysteresis-committed best route (false before the
-	// first usable round).
-	Best() (pathmon.Route, bool)
-	// Ranked returns the current route table sorted best-first.
-	Ranked() []pathmon.RouteStatus
-	// Subscribe returns a coalesced ranking-change wakeup channel and an
-	// unsubscribe func (the warm pool's filler follows it).
-	Subscribe() (<-chan struct{}, func())
-}
-
 const (
 	// dialTimeout bounds each path attempt.
 	dialTimeout = 10 * time.Second
@@ -61,8 +41,9 @@ type Config struct {
 	// emulations point it at a netem proxy).
 	DirectAddr string
 	// Monitor supplies route rankings: one objective's *pathmon.View of
-	// a monitor. With a nil Monitor the gateway always dials direct.
-	Monitor Ranker
+	// a monitor, chosen per listener; the warm pool follows it too. With
+	// a nil Monitor the gateway always dials direct.
+	Monitor pathmon.Ranker
 	// IdleTimeout closes listener-mode flows with no traffic in either
 	// direction (default 5 min; negative disables). Without it a dead
 	// peer holds a gateway flow — and its relay slot — forever.
@@ -350,9 +331,6 @@ func (g *Gateway) admit(net.Conn) func(net.Conn) {
 	g.stats.Accepted.Add(1)
 	return g.handle
 }
-
-// Addr returns the listener address (nil outside listener mode).
-func (g *Gateway) Addr() net.Addr { return g.srv.Addr() }
 
 // Close stops the listener (if any), aborts dials in flight, closes live
 // flows, and retires the warm connection pool.

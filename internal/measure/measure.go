@@ -111,16 +111,16 @@ const chunkBytes = 128 << 10
 // Throughput runs one iperf-style burst over an established connection to
 // a measure.Server, which may pass through relays: the sink-mode byte,
 // then a timed upload of exactly duration in chunkBytes writes. The
-// connection's deadline tracks ctx, so a blackholed path (zero-window
-// peer, silent middlebox) fails instead of hanging the caller. Any upload
-// error — ctx expiring mid-window included — is ErrTruncatedBurst
-// wrapping the cause: callers get a full window's Mbps or an error, never
-// a number measured over less than duration.
+// connection's deadline tracks ctx (pipe.BindContext), so a blackholed
+// path (zero-window peer, silent middlebox) fails instead of hanging the
+// caller. Any upload error — ctx expiring mid-window included — is
+// ErrTruncatedBurst wrapping the cause: callers get a full window's Mbps
+// or an error, never a number measured over less than duration.
 func Throughput(ctx context.Context, conn net.Conn, duration time.Duration) (Result, error) {
-	stop := pinDeadline(ctx, conn)
-	defer stop()
+	bound := pipe.BindContext(ctx, conn)
+	defer bound.Release()
 	if _, err := conn.Write([]byte{modeSink}); err != nil {
-		return Result{}, ctxError(ctx, fmt.Errorf("measure: sink preamble: %w", err))
+		return Result{}, fmt.Errorf("measure: sink preamble: %w", pipe.ContextErr(ctx, err))
 	}
 	buf := pipe.Get(chunkBytes)
 	defer pipe.Put(buf)
@@ -133,7 +133,7 @@ func Throughput(ctx context.Context, conn net.Conn, duration time.Duration) (Res
 		n, err := conn.Write(buf)
 		sent += int64(n)
 		if err != nil {
-			err = ctxError(ctx, fmt.Errorf("measure: throughput write: %w", err))
+			err = fmt.Errorf("measure: throughput write: %w", pipe.ContextErr(ctx, err))
 			return Result{}, fmt.Errorf("%w: %w", ErrTruncatedBurst, err)
 		}
 	}
@@ -155,16 +155,17 @@ type RTTStats struct {
 // echo probes (default 10) over a connection to a measure.Server,
 // recording each sample into hist (typically
 // cronets_measure_probe_rtt_seconds; nil is ignored). The connection's
-// deadline tracks ctx, so a dead or blackholed path fails within the
-// context budget instead of blocking a probe round forever.
+// deadline tracks ctx (pipe.BindContext), so a dead or blackholed path
+// fails within the context budget instead of blocking a probe round
+// forever.
 func ProbeRTTContext(ctx context.Context, conn net.Conn, count int, hist *obs.Histogram) (RTTStats, error) {
 	if count <= 0 {
 		count = 10
 	}
-	stop := pinDeadline(ctx, conn)
-	defer stop()
+	bound := pipe.BindContext(ctx, conn)
+	defer bound.Release()
 	if _, err := conn.Write([]byte{modeEcho}); err != nil {
-		return RTTStats{}, ctxError(ctx, fmt.Errorf("measure: echo preamble: %w", err))
+		return RTTStats{}, fmt.Errorf("measure: echo preamble: %w", pipe.ContextErr(ctx, err))
 	}
 	frame := make([]byte, probeSize)
 	var stats RTTStats
@@ -173,10 +174,10 @@ func ProbeRTTContext(ctx context.Context, conn net.Conn, count int, hist *obs.Hi
 		frame[0] = byte(i)
 		start := time.Now()
 		if _, err := conn.Write(frame); err != nil {
-			return RTTStats{}, ctxError(ctx, fmt.Errorf("measure: probe write: %w", err))
+			return RTTStats{}, fmt.Errorf("measure: probe write: %w", pipe.ContextErr(ctx, err))
 		}
 		if _, err := io.ReadFull(conn, frame); err != nil {
-			return RTTStats{}, ctxError(ctx, fmt.Errorf("measure: probe read: %w", err))
+			return RTTStats{}, fmt.Errorf("measure: probe read: %w", pipe.ContextErr(ctx, err))
 		}
 		rtt := time.Since(start)
 		hist.ObserveDuration(rtt)
@@ -191,39 +192,4 @@ func ProbeRTTContext(ctx context.Context, conn net.Conn, count int, hist *obs.Hi
 	}
 	stats.Avg = total / time.Duration(stats.Samples)
 	return stats, nil
-}
-
-// pinDeadline pins conn's deadline to ctx: ctx's deadline (if any) applies
-// at once, and cancelling ctx force-expires it, unblocking in-flight I/O.
-// The returned stop releases the watch and clears the deadline, unless ctx
-// has already ended.
-func pinDeadline(ctx context.Context, conn net.Conn) (stop func()) {
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	stopWatch := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	return func() {
-		if stopWatch() {
-			_ = conn.SetDeadline(time.Time{})
-		}
-	}
-}
-
-// ctxError substitutes the context's error for a deadline-induced I/O
-// error so callers see context.DeadlineExceeded/Canceled rather than a
-// generic timeout.
-func ctxError(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		return fmt.Errorf("measure: %w", ctx.Err())
-	}
-	// pinDeadline pins the connection deadline to the context deadline,
-	// and the netpoller can unblock the I/O a beat before the context's own
-	// timer fires ctx.Done. A timeout observed at or past the context
-	// deadline is therefore the context's doing even if ctx.Err() is still
-	// nil at this instant.
-	var ne net.Error
-	if dl, ok := ctx.Deadline(); ok && errors.As(err, &ne) && ne.Timeout() && !time.Now().Before(dl) {
-		return fmt.Errorf("measure: %w", context.DeadlineExceeded)
-	}
-	return err
 }

@@ -16,6 +16,7 @@
 package multipath
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -23,6 +24,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -186,6 +188,10 @@ var (
 type segment struct {
 	seq  uint64
 	data []byte
+	// sub is the subflow slot the segment was last written on, guarded
+	// by Sender.mu: while the segment is in Sender.inflight, that
+	// subflow's death requeues it.
+	sub int
 	// writers counts writeLoops currently writing this segment's bytes
 	// (retransmission can overlap a late cumulative ACK); acked marks it
 	// retired by an ACK; released guards the one-time return to the
@@ -201,7 +207,7 @@ var segPool = sync.Pool{New: func() any { return new(segment) }}
 // newSegment copies p into a pooled segment.
 func newSegment(p []byte) *segment {
 	seg := segPool.Get().(*segment)
-	seg.seq = 0
+	seg.seq, seg.sub = 0, 0
 	seg.writers, seg.acked, seg.released = 0, false, false
 	seg.data = pipe.Get(len(p))
 	copy(seg.data, p)
@@ -249,7 +255,6 @@ type Sender struct {
 	cumAcked     uint64              // all seq < cumAcked are acknowledged
 	pending      []*segment          // not yet assigned to a subflow
 	inflight     map[uint64]*segment // assigned, unacked
-	owner        map[uint64]int      // seq -> subflow index
 	sentBy       []uint64            // segments written per subflow incarnation
 	subAckedBy   []uint64            // segments sub-acked per subflow incarnation
 	alive        []bool
@@ -281,7 +286,6 @@ func NewSender(conns []net.Conn, cfg Config) (*Sender, error) {
 		rng:        rand.New(rand.NewSource(int64(cfg.ChannelID) + 1)),
 		epoch:      make([]uint64, len(conns)),
 		inflight:   make(map[uint64]*segment),
-		owner:      make(map[uint64]int),
 		sentBy:     make([]uint64, len(conns)),
 		subAckedBy: make([]uint64, len(conns)),
 		alive:      make([]bool, len(conns)),
@@ -410,7 +414,6 @@ func (s *Sender) Close() error {
 	s.pending = nil
 	for seq, seg := range s.inflight {
 		delete(s.inflight, seq)
-		delete(s.owner, seq)
 		releaseSegLocked(seg)
 	}
 	s.mu.Unlock()
@@ -460,7 +463,7 @@ func (s *Sender) writeLoop(i int, epoch uint64, conn net.Conn) {
 			continue
 		}
 		s.inflight[seg.seq] = seg
-		s.owner[seg.seq] = i
+		seg.sub = i
 		s.sentBy[i]++
 		seg.writers++
 		segLen := len(seg.data)
@@ -526,7 +529,6 @@ func (s *Sender) ackLoop(i int, epoch uint64, conn net.Conn) {
 						seg.acked = true
 						releaseSegLocked(seg)
 					}
-					delete(s.owner, seq)
 				}
 				s.cumAcked = value
 				s.cond.Broadcast()
@@ -557,26 +559,16 @@ func (s *Sender) subflowDied(i int, epoch uint64) {
 	s.aliveN--
 	_ = s.conns[i].Close() // wake the peer's reader promptly
 	var requeue []*segment
-	for seq, owner := range s.owner {
-		if owner != i {
-			continue
-		}
-		if seg, ok := s.inflight[seq]; ok {
+	for seq, seg := range s.inflight {
+		if seg.sub == i {
 			requeue = append(requeue, seg)
 			delete(s.inflight, seq)
 		}
-		delete(s.owner, seq)
 	}
 	s.sentBy[i] = 0
 	s.subAckedBy[i] = 0
 	// Retransmissions go to the front, lowest sequence first.
-	for a := 0; a < len(requeue); a++ {
-		for b := a + 1; b < len(requeue); b++ {
-			if requeue[b].seq < requeue[a].seq {
-				requeue[a], requeue[b] = requeue[b], requeue[a]
-			}
-		}
-	}
+	slices.SortFunc(requeue, func(a, b *segment) int { return cmp.Compare(a.seq, b.seq) })
 	s.pending = append(requeue, s.pending...)
 	if s.cfg.Dialer != nil && !s.closed {
 		s.reconnecting++
@@ -652,23 +644,30 @@ func (s *Sender) reconnectDone(ok bool) {
 
 // joinHandshake identifies the reconnected socket to the receiver:
 // channel ID + subflow index out, the same frame echoed back on accept.
-// Close expires the handshake rather than waiting out joinTimeout; a
-// handshake that wins that race is refused by install.
+// The exchange is bound to joinTimeout and to the sender's context, so
+// Close expires it rather than waiting out joinTimeout, and an ack that
+// arrives as the context ends fails the JOIN; a handshake that wins the
+// race with Close is refused by install.
 func (s *Sender) joinHandshake(conn net.Conn, i int) error {
 	hdr := make([]byte, headerSize)
 	header{typ: frameJoin, seq: s.cfg.ChannelID, length: uint32(i)}.put(hdr)
-	_ = conn.SetDeadline(time.Now().Add(joinTimeout))
-	stop := context.AfterFunc(s.ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
+	ctx, cancel := context.WithTimeout(s.ctx, joinTimeout)
+	defer cancel()
+	bound := pipe.BindContext(ctx, conn)
 	if _, err := conn.Write(hdr); err != nil {
+		bound.Release()
 		return fmt.Errorf("multipath: send join: %w", err)
 	}
-	if _, err := io.ReadFull(conn, hdr); err != nil {
+	_, err := io.ReadFull(conn, hdr)
+	ctxEnded := bound.Release()
+	if err != nil {
 		return fmt.Errorf("multipath: read join ack: %w", err)
 	}
-	_ = conn.SetDeadline(time.Time{})
 	if h, err := parseHeader(hdr, s.cfg.MaxSegBytes); err != nil || h.typ != frameJoin || h.seq != s.cfg.ChannelID {
 		return ErrJoinRejected
+	}
+	if ctxEnded {
+		return fmt.Errorf("multipath: join aborted: %w", ctx.Err())
 	}
 	return nil
 }

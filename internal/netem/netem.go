@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,8 +211,8 @@ func (p *Proxy) handle(idx int64, down net.Conn) {
 	}()
 
 	// The shared data-plane loop carries the bytes; shaping, rate pacing,
-	// and fault triggers ride the per-chunk hook so netem no longer forks
-	// its own copy loop. Each direction keeps its own shaper state.
+	// and fault triggers ride the per-chunk hook. Each direction keeps
+	// its own shaper state.
 	upShape := &shaper{p: p, isUp: true, shaped: p.shapedUp, rules: upRules}
 	downShape := &shaper{p: p, isUp: false, shaped: p.shapedDown, rules: downRules}
 	var span *flowtrace.Span
@@ -251,7 +252,8 @@ func (p *Proxy) joinTrace(first []byte) *flowtrace.Span {
 		return nil
 	}
 	span := p.cfg.Tracer.Continue("netem.shape", tc)
-	span.SetDetail(target)
+	// A copy, so the span in the tracer's ring does not pin the line.
+	span.SetDetail(strings.Clone(target))
 	return span
 }
 

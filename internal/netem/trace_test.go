@@ -3,6 +3,7 @@ package netem
 import (
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -74,4 +75,39 @@ func TestTraceJoinMatchesRelay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShapeSpanRetainsTarget: a netem.shape span keeps a copy of the
+// CONNECT target, not a substring of the whole line: the tracer's ring
+// holds each span long after its connection has closed, and the line
+// carries the 48-character TP= token besides the target.
+func TestShapeSpanRetainsTarget(t *testing.T) {
+	const spans, maxPerSpan = 1000, 32
+	tc := flowtrace.Context{Trace: flowtrace.TraceID{1, 2, 3}, Span: 42, Sampled: true}
+	first := []byte("CONNECT 127.0.0.1:9100 TP=" + tc.EncodeText() + "\n")
+	p := &Proxy{cfg: Config{Tracer: flowtrace.New(flowtrace.Config{Node: "netem"})}}
+	shaped := make([]*flowtrace.Span, spans)
+	for i := range shaped {
+		if shaped[i] = p.joinTrace(first); shaped[i].Detail != "127.0.0.1:9100" {
+			t.Fatalf("span detail = %q, want the target", shaped[i].Detail)
+		}
+	}
+	held := liveHeap()
+	for _, s := range shaped {
+		s.SetDetail("")
+	}
+	perSpan := (int64(held) - int64(liveHeap())) / spans
+	runtime.KeepAlive(shaped) // only the details may go between the readings
+	if perSpan > maxPerSpan {
+		t.Fatalf("a netem.shape span's detail retains %d B, want at most %d B", perSpan, maxPerSpan)
+	}
+	t.Logf("a netem.shape span's detail retains %d B", perSpan)
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -37,6 +37,7 @@ import (
 	"cronets/internal/chain"
 	"cronets/internal/measure"
 	"cronets/internal/obs"
+	"cronets/internal/pipe"
 	"cronets/internal/relay"
 )
 
@@ -632,21 +633,11 @@ func failReason(err error) string {
 	switch {
 	case errors.Is(err, relay.ErrRefused):
 		return "reject"
-	case isTimeoutErr(err):
+	case pipe.IsTimeout(err):
 		return "timeout"
 	default:
 		return "dial"
 	}
-}
-
-// isTimeoutErr reports whether err is a deadline expiry (net-level or
-// context-level).
-func isTimeoutErr(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
 }
 
 // failCounter maps a failure reason to its labeled counter.

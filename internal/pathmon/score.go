@@ -17,8 +17,8 @@ import (
 )
 
 // Objective selects the routing metric that orders the ranked table and
-// feeds the hysteresis margin test. The zero value is ObjectiveLatency —
-// the delay-based metric that was previously the only behavior.
+// feeds the hysteresis margin test. The zero value is ObjectiveLatency,
+// the delay-based metric.
 type Objective uint8
 
 const (

@@ -5,15 +5,30 @@ package pathmon
 // under its own objective with its own hysteresis state — so a bulk
 // listener (throughput objective) and an interactive listener (latency
 // objective) share one probe budget, one burst cadence, and one event
-// stream, yet each commits to its own best route. A View is the
-// gateway's Ranker (Best/Ranked/Subscribe), and it serves its own
-// /debug/paths table and gauges.
+// stream, yet each commits to its own best route. A View is a Ranker
+// (Best/Ranked/Subscribe), and it serves its own /debug/paths table and
+// gauges.
 
 import (
 	"math"
 
 	"cronets/internal/obs"
 )
+
+// Ranker is a route ranking to follow: what the gateway dials by and
+// the warm pool fills from. A *View is one (a *Monitor too, as its
+// latency view); tests substitute scripted rankings to exercise the
+// dial fallback ladder and the pool's filler without sockets.
+type Ranker interface {
+	// Best returns the hysteresis-committed best route (false before the
+	// first usable round).
+	Best() (Route, bool)
+	// Ranked returns the current route table sorted best-first.
+	Ranked() []RouteStatus
+	// Subscribe returns a coalesced ranking-change wakeup channel and an
+	// unsubscribe func.
+	Subscribe() (<-chan struct{}, func())
+}
 
 // View is one objective's independently damped ranking over a Monitor's
 // probe data.

@@ -1,8 +1,10 @@
 // Package pipe is the unified data-plane core of the real-socket overlay
 // stack: a size-classed buffer pool, the one implementation of the
 // bidirectional splice loop every forwarding layer (relay, gateway, netem,
-// tunnel, measure, multipath) runs on, and the one listener lifecycle
-// (Server) the relay, gateway, netem and measure servers share. The
+// tunnel, measure, multipath) runs on, the one listener lifecycle
+// (Server) the relay, gateway, netem and measure servers share, and the
+// one binding of a conn's deadline to a context (BindContext) that every
+// context-bounded exchange runs under. The
 // paper's throughput gains hinge on the split-TCP relay path adding as
 // little overhead as possible, so the hot path here is allocation-free in
 // steady state: copy buffers, segment buffers, and frame scratch all come

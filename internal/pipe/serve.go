@@ -137,17 +137,6 @@ func (s *Server) Context() context.Context {
 	return s.ctx
 }
 
-// Addr returns the address of the listener being served (nil before
-// Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 // Close cancels the context, closes every tracked connection and the
 // listener, then waits until every tracked connection is untracked. It
 // returns the listener's close error.

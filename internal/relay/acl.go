@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // ACL restricts which targets a CONNECT-mode relay will dial. A CRONets
@@ -15,13 +14,11 @@ import (
 // the relay to the customer's own prefixes and service ports.
 //
 // The zero value permits everything; use NewACL to build a restrictive
-// policy. ACL methods are safe for concurrent use.
+// policy. An ACL does not change after NewACL, so Allow is safe for
+// concurrent use.
 type ACL struct {
-	mu       sync.RWMutex
 	prefixes []netip.Prefix
 	ports    map[uint16]bool
-	// denyAll is set when a restrictive policy exists (non-empty rules).
-	restrictive bool
 }
 
 // NewACL builds an access-control list from CIDR prefixes and allowed
@@ -32,7 +29,7 @@ func NewACL(cidrs []string, ports []uint16) (*ACL, error) {
 	if len(cidrs) == 0 && len(ports) == 0 {
 		return nil, fmt.Errorf("relay: ACL needs at least one rule; use a nil ACL to allow all")
 	}
-	a := &ACL{ports: make(map[uint16]bool, len(ports)), restrictive: true}
+	a := &ACL{ports: make(map[uint16]bool, len(ports))}
 	for _, c := range cidrs {
 		p, err := netip.ParsePrefix(c)
 		if err != nil {
@@ -50,12 +47,7 @@ func NewACL(cidrs []string, ports []uint16) (*ACL, error) {
 // Hostnames (non-IP targets) are rejected by restrictive ACLs with
 // prefix rules, since the relay cannot verify where they resolve.
 func (a *ACL) Allow(target string) bool {
-	if a == nil {
-		return true
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if !a.restrictive {
+	if a == nil || len(a.prefixes) == 0 && len(a.ports) == 0 {
 		return true
 	}
 	host, portStr, err := net.SplitHostPort(target)
@@ -85,17 +77,4 @@ func (a *ACL) Allow(target string) bool {
 		}
 	}
 	return true
-}
-
-// AddPrefix inserts another allowed CIDR at runtime.
-func (a *ACL) AddPrefix(cidr string) error {
-	p, err := netip.ParsePrefix(cidr)
-	if err != nil {
-		return fmt.Errorf("relay: ACL prefix %q: %w", cidr, err)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.prefixes = append(a.prefixes, p)
-	a.restrictive = true
-	return nil
 }

@@ -64,25 +64,6 @@ func TestACLPortsOnly(t *testing.T) {
 	}
 }
 
-func TestACLAddPrefix(t *testing.T) {
-	a, err := NewACL([]string{"10.0.0.0/8"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Allow("172.16.0.1:80") {
-		t.Fatal("172.16/12 should be denied initially")
-	}
-	if err := a.AddPrefix("172.16.0.0/12"); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Allow("172.16.0.1:80") {
-		t.Error("172.16/12 should be allowed after AddPrefix")
-	}
-	if err := a.AddPrefix("nope"); err == nil {
-		t.Error("bad prefix should be rejected")
-	}
-}
-
 // TestRelayEnforcesACL: a CONNECT to a forbidden target is refused before
 // any upstream dial.
 func TestRelayEnforcesACL(t *testing.T) {

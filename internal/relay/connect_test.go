@@ -13,6 +13,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,6 +192,80 @@ func TestConnectDeadlineMidPreamble(t *testing.T) {
 	}
 	if errors.Is(err, ErrRefused) {
 		t.Errorf("timeout misclassified as refusal: %v", err)
+	}
+}
+
+// replyRaceConn ends its context the moment a read brings in the end of
+// the CONNECT reply, so the context ends just as the OK arrives. The
+// context's watch then sets an expired deadline; replyRaceConn holds
+// that until Connect has cleared the deadline or closed the conn, the
+// order in which a watch that fired too late expires a handed-on conn.
+type replyRaceConn struct {
+	net.Conn
+	cancel  context.CancelFunc
+	once    sync.Once
+	settled chan struct{} // closed by the first clear or Close
+	expired chan struct{} // closed once the watch's expiry is set
+}
+
+func (c *replyRaceConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if bytes.IndexByte(p[:n], '\n') >= 0 {
+		c.cancel()
+	}
+	return n, err
+}
+
+func (c *replyRaceConn) SetDeadline(t time.Time) error {
+	if t.IsZero() {
+		c.once.Do(func() { close(c.settled) })
+		return c.Conn.SetDeadline(t)
+	}
+	if !t.Before(time.Now()) {
+		return c.Conn.SetDeadline(t)
+	}
+	<-c.settled
+	err := c.Conn.SetDeadline(t)
+	close(c.expired)
+	return err
+}
+
+func (c *replyRaceConn) Close() error {
+	c.once.Do(func() { close(c.settled) })
+	return c.Conn.Close()
+}
+
+// TestConnectContextEndsWithReply: a context that ends just as the OK
+// arrives must not hand on a conn whose deadline has expired. Connect
+// either fails with the context's error or returns a conn that still
+// echoes.
+func TestConnectContextEndsWithReply(t *testing.T) {
+	addr := connectServer(t, func(c net.Conn) {
+		_, _ = io.WriteString(c, "OK\n")
+		_, _ = io.Copy(c, c)
+	})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rc := &replyRaceConn{Conn: raw, cancel: cancel,
+		settled: make(chan struct{}), expired: make(chan struct{})}
+	conn, err := Connect(ctx, rc, "192.0.2.1:9")
+	if err != nil {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		return
+	}
+	defer conn.Close()
+	select {
+	case <-rc.expired:
+	case <-time.After(5 * time.Second):
+	}
+	if got := roundtrip(t, conn, "ping"); got != "ping" {
+		t.Fatalf("echo = %q, want %q", got, "ping")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -199,13 +198,13 @@ func (r *Relay) Serve() error {
 // CONNECT mode defers the MaxConns reservation until the preamble
 // arrives, so a warm connection pool can hold idle pre-CONNECT sockets
 // open without starving real flows; the idle sockets are bounded by
-// their own equal-sized pending cap.
+// their own pending cap.
 func (r *Relay) admit(net.Conn) func(net.Conn) {
 	var ok bool
 	if r.cfg.Target != "" {
-		ok = r.reserve()
+		ok = claim(&r.stats.Active, int64(r.cfg.MaxConns))
 	} else {
-		ok = r.reservePending()
+		ok = claim(&r.pending, 2*int64(r.cfg.MaxConns))
 	}
 	if !ok {
 		r.stats.Overloaded.Add(1)
@@ -222,37 +221,22 @@ func (r *Relay) Close() error {
 	return err
 }
 
-// reserve claims one unit of MaxConns capacity via compare-and-swap on
-// the Active counter; the handler's deferred decrement releases it.
-func (r *Relay) reserve() bool {
+// claim takes one slot of counter if it is below limit, by
+// compare-and-swap, so concurrent claims cannot overshoot: a MaxConns
+// slot on Stats.Active, which handle's deferred decrement releases, or a
+// pending slot, which handle releases once the preamble arrives or the
+// socket dies.
+func claim(counter *atomic.Int64, limit int64) bool {
 	for {
-		cur := r.stats.Active.Load()
-		if cur >= int64(r.cfg.MaxConns) {
+		cur := counter.Load()
+		if cur >= limit {
 			return false
 		}
-		if r.stats.Active.CompareAndSwap(cur, cur+1) {
+		if counter.CompareAndSwap(cur, cur+1) {
 			return true
 		}
 	}
 }
-
-// reservePending claims one unit of the pre-CONNECT pending cap (2x
-// MaxConns — headroom so long-lived idle warm legs cannot starve fresh
-// arrivals of their transient pending slot); releasePending returns it
-// once the preamble arrives or the socket dies.
-func (r *Relay) reservePending() bool {
-	for {
-		cur := r.pending.Load()
-		if cur >= 2*int64(r.cfg.MaxConns) {
-			return false
-		}
-		if r.pending.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
-func (r *Relay) releasePending() { r.pending.Add(-1) }
 
 // serveConn relays one admitted connection and counts its failure.
 func (r *Relay) serveConn(down net.Conn) {
@@ -291,7 +275,7 @@ func (r *Relay) handle(down net.Conn) error {
 			_ = down.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
 		}
 		line, err := br.ReadSlice('\n')
-		r.releasePending()
+		r.pending.Add(-1)
 		if err != nil {
 			if errors.Is(err, io.EOF) && len(line) == 0 {
 				// A warm socket closed cleanly before sending any
@@ -326,7 +310,7 @@ func (r *Relay) handle(down net.Conn) error {
 		}
 		// The preamble is in: this is a real flow now, so it must claim a
 		// MaxConns slot like any forward-mode connection.
-		if !r.reserve() {
+		if !claim(&r.stats.Active, int64(r.cfg.MaxConns)) {
 			_, _ = io.WriteString(down, "ERR overloaded\n")
 			r.stats.Overloaded.Add(1)
 			return nil
@@ -400,26 +384,17 @@ func (r *Relay) watchAbort(down net.Conn, br *bufio.Reader, cancel context.Cance
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := br.Peek(1); err != nil && !isTimeout(err) {
+		if _, err := br.Peek(1); err != nil && !pipe.IsTimeout(err) {
 			// EOF / reset: the client is gone. A timeout is stop()
 			// reclaiming the connection, not a hangup.
 			cancel()
 		}
 	}()
 	return func() {
-		_ = down.SetReadDeadline(aLongTimeAgo)
+		_ = down.SetReadDeadline(pipe.Expired)
 		<-done
 		_ = down.SetReadDeadline(time.Time{})
 	}
-}
-
-// aLongTimeAgo is an expired deadline used to unblock in-flight reads.
-var aLongTimeAgo = time.Unix(1, 0)
-
-// isTimeout reports whether err is a read-deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // dialUpstream dials the target, retrying transient failures (refused,
@@ -473,12 +448,7 @@ func backoffJitter(d time.Duration) time.Duration {
 // timeouts and refused connections pass, everything else (unreachable
 // network, bad address) fails fast.
 func transientDialError(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, context.DeadlineExceeded)
+	return pipe.IsTimeout(err) || errors.Is(err, syscall.ECONNREFUSED)
 }
 
 // splice runs the shared data-plane loop over the connection pair: pooled
@@ -599,38 +569,41 @@ var ErrRefused = errors.New("relay: connect refused")
 // already-open connection to a relay, returning the relayed connection —
 // the warm-pool checkout path: a gateway that keeps pre-established relay
 // sockets skips the TCP handshake leg and pays only this one round trip.
-// ctx bounds the whole preamble exchange: its deadline covers both the
-// request write and the reply read, and cancelling it mid-handshake
-// force-expires the socket so the caller returns promptly. If ctx carries
-// a sampled trace context (flowtrace.NewGoContext), it rides in the
-// preamble so the relay's spans join the trace. On error the connection
-// is closed.
+// ctx bounds the whole preamble exchange (pipe.BindContext): its
+// deadline covers both the request write and the reply read, cancelling
+// it mid-handshake force-expires the socket so the caller returns
+// promptly, and a ctx that ends as the OK arrives fails the handshake
+// rather than hand on a socket whose deadline has expired. If ctx
+// carries a sampled trace context (flowtrace.NewGoContext), it rides in
+// the preamble so the relay's spans join the trace. On error the
+// connection is closed.
 func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	stopWatch := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })
-	defer stopWatch()
+	bound := pipe.BindContext(ctx, conn)
 	buf := linePool.Get().(*[connectLineBytes]byte)
 	_, err := conn.Write(appendConnectLine(buf[:0], target, flowtrace.FromGoContext(ctx)))
 	linePool.Put(buf)
 	if err != nil {
+		bound.Release()
 		_ = conn.Close()
-		return nil, connectAbortErr(ctx, fmt.Errorf("relay: send connect: %w", err))
+		return nil, fmt.Errorf("relay: send connect: %w", pipe.ContextErr(ctx, err))
 	}
 	br := bufio.NewReaderSize(conn, connectReplyBytes)
 	line, err := br.ReadSlice('\n')
+	ctxEnded := bound.Release()
 	if err != nil {
 		_ = conn.Close()
 		if errors.Is(err, bufio.ErrBufferFull) {
 			return nil, fmt.Errorf("relay: malformed connect reply: no newline in %d bytes", len(line))
 		}
-		return nil, connectAbortErr(ctx, fmt.Errorf("relay: read connect reply: %w", err))
+		return nil, fmt.Errorf("relay: read connect reply: %w", pipe.ContextErr(ctx, err))
 	}
-	_ = conn.SetDeadline(time.Time{})
 	if line = bytes.TrimSpace(line); string(line) != "OK" {
 		_ = conn.Close()
 		return nil, fmt.Errorf("%w: %s", ErrRefused, line)
+	}
+	if ctxEnded {
+		_ = conn.Close()
+		return nil, fmt.Errorf("relay: connect aborted: %w", ctx.Err())
 	}
 	if br.Buffered() > 0 {
 		// The destination's first bytes (a server-first banner) came in
@@ -638,21 +611,4 @@ func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error
 		return pipe.WithReader(conn, br), nil
 	}
 	return conn, nil
-}
-
-// connectAbortErr substitutes the context's error for the I/O error it
-// induced: a cancellation-expired deadline surfaces as context.Canceled,
-// not as a generic timeout.
-func connectAbortErr(ctx context.Context, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return fmt.Errorf("relay: connect aborted: %w", ctxErr)
-	}
-	// The socket deadline mirrors ctx's deadline, and the read can expire
-	// a hair before the context's own timer fires: classify that as the
-	// deadline too, so callers (pathmon) never see a raw I/O timeout for
-	// a context-bounded handshake.
-	if _, hasDL := ctx.Deadline(); hasDL && errors.Is(err, os.ErrDeadlineExceeded) {
-		return fmt.Errorf("relay: connect aborted: %w", context.DeadlineExceeded)
-	}
-	return err
 }
