@@ -38,8 +38,10 @@
 #                     relay, gateway, netem and measure servers on it, plus
 #                     connpool and chain), the control plane (pathmon's
 #                     per-route probe goroutines, Close and Subscribe) and
-#                     cronetsd's in-process roles, and the wire-codec
-#                     packages (obs, flowtrace, tunnel, multipath) five
+#                     cronetsd's in-process roles, the wire-codec packages
+#                     (obs, flowtrace, tunnel, multipath), and the two
+#                     multipath e2es in the repo root (netem failover with
+#                     a rejoin, and the scraped two-subflow metrics) five
 #                     times over under -race, so a flaky close or accept
 #                     race shows up as a failure
 #   make fuzz-smoke   a few seconds of native Go fuzzing on each wire
@@ -76,6 +78,7 @@ race-repeat:
 		./internal/netem/ ./internal/measure/ ./internal/connpool/ ./internal/chain/ \
 		./internal/pathmon/ ./cmd/cronetsd/ \
 		./internal/obs/ ./internal/flowtrace/ ./internal/tunnel/ ./internal/multipath/
+	$(GO) test -race -count=5 -run '^(TestFailoverEndToEnd|TestObservabilityEndToEnd)$$' .
 
 vet:
 	$(GO) vet ./...

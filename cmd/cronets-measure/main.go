@@ -36,6 +36,7 @@ import (
 	"cronets/internal/chain"
 	"cronets/internal/flowtrace"
 	"cronets/internal/measure"
+	"cronets/internal/pipe"
 )
 
 func main() {
@@ -86,8 +87,8 @@ func runServer(args []string) error {
 	return srv.Serve()
 }
 
-func dialMaybeRelay(ctx context.Context, connect, relayAddr string, timeout time.Duration) (net.Conn, error) {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+func dialMaybeRelay(ctx context.Context, connect, relayAddr string) (net.Conn, error) {
+	ctx, cancel := context.WithTimeout(ctx, pipe.DialTimeout)
 	defer cancel()
 	if relayAddr == "" {
 		var d net.Dialer
@@ -108,9 +109,9 @@ func runClient(args []string) error {
 		return fmt.Errorf("-connect is required")
 	}
 	// The run is bounded: the dial timeout plus the measured window.
-	ctx, cancel := context.WithTimeout(context.Background(), *duration+10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), *duration+pipe.DialTimeout)
 	defer cancel()
-	conn, err := dialMaybeRelay(ctx, *connect, *relayAddr, 10*time.Second)
+	conn, err := dialMaybeRelay(ctx, *connect, *relayAddr)
 	if err != nil {
 		return err
 	}
@@ -138,7 +139,7 @@ func runRTT(args []string) error {
 	if *connect == "" {
 		return fmt.Errorf("-connect is required")
 	}
-	conn, err := dialMaybeRelay(context.Background(), *connect, *relayAddr, 10*time.Second)
+	conn, err := dialMaybeRelay(context.Background(), *connect, *relayAddr)
 	if err != nil {
 		return err
 	}
@@ -175,7 +176,7 @@ func runTrace(args []string) error {
 	ctx := flowtrace.NewGoContext(context.Background(), flow.Context())
 
 	dial := tracer.Start("client.dial", flow.Context())
-	conn, err := dialMaybeRelay(flowtrace.NewGoContext(ctx, dial.Context()), *connect, *relayAddr, 10*time.Second)
+	conn, err := dialMaybeRelay(flowtrace.NewGoContext(ctx, dial.Context()), *connect, *relayAddr)
 	if err != nil {
 		dial.SetDetail("fail " + *connect)
 		dial.End()

@@ -19,16 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"time"
 
 	"cronets/internal/flowtrace"
+	"cronets/internal/pipe"
 	"cronets/internal/relay"
 )
-
-// DefaultPerHopTimeout bounds each hop's CONNECT exchange (and the first
-// hop's TCP dial) when the caller's context carries no deadline; a
-// context deadline governs alone.
-const DefaultPerHopTimeout = 10 * time.Second
 
 // Options parameterizes a chain dial. The zero value is usable.
 type Options struct {
@@ -127,11 +122,12 @@ func Connect(ctx context.Context, conn net.Conn, hops []string, target string, o
 	return conn, nil
 }
 
-// hopContext bounds one hop by ctx's deadline or, when ctx has none, by
-// DefaultPerHopTimeout.
+// hopContext bounds one hop (its CONNECT exchange, and the first hop's
+// TCP dial) by ctx's deadline or, when ctx has none, by
+// pipe.DialTimeout.
 func hopContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if _, ok := ctx.Deadline(); ok {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, DefaultPerHopTimeout)
+	return context.WithTimeout(ctx, pipe.DialTimeout)
 }

@@ -33,9 +33,6 @@ const (
 	// fillInterval is the background filler period: the TTL-expiry and
 	// re-warm cadence between ranking wakeups.
 	fillInterval = time.Second
-	// warmDialTimeout bounds each warm dial, as the gateway bounds a
-	// cold one.
-	warmDialTimeout = 10 * time.Second
 	// topK is how many of the top-ranked usable relays stay warmed. The
 	// committed best path's relay is always warmed, pinned or ranked.
 	topK = 2
@@ -313,9 +310,9 @@ func (p *Pool) Fill() {
 
 // warmDial opens one raw TCP connection to a relay (no preamble — the
 // CONNECT handshake happens at checkout, on the flow's behalf). Close
-// abandons it rather than waiting out warmDialTimeout.
+// abandons it rather than waiting out pipe.DialTimeout.
 func (p *Pool) warmDial(addr string) (net.Conn, error) {
-	ctx, cancel := context.WithTimeout(p.ctx, warmDialTimeout)
+	ctx, cancel := context.WithTimeout(p.ctx, pipe.DialTimeout)
 	defer cancel()
 	return p.cfg.Dialer.DialContext(ctx, "tcp", addr)
 }

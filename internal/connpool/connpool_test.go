@@ -510,8 +510,8 @@ func (d *stallDialer) DialContext(ctx context.Context, _, _ string) (net.Conn, e
 }
 
 // TestCloseAbandonsWarmDial: Close with a warm dial in flight returns at
-// once, cancelling the dial instead of waiting out warmDialTimeout, and gives
-// back every goroutine.
+// once, cancelling the dial instead of waiting out pipe.DialTimeout, and
+// gives back every goroutine.
 func TestCloseAbandonsWarmDial(t *testing.T) {
 	check := servertest.CheckLeaks(t)
 	d := &stallDialer{dialing: make(chan struct{}, 1)}

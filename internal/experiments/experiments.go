@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -171,18 +170,12 @@ type RatioSummary struct {
 // SummarizeRatios computes the summary of a ratio sample.
 func SummarizeRatios(rs []float64) RatioSummary {
 	mean, _ := stats.MeanFinite(rs)
-	finite := make([]float64, 0, len(rs))
-	for _, r := range rs {
-		if !math.IsInf(r, 0) && !math.IsNaN(r) {
-			finite = append(finite, r)
-		}
-	}
 	return RatioSummary{
 		N:             len(rs),
 		FracImproved:  stats.FractionAbove(rs, 1),
 		FracAtLeast25: 1 - stats.NewCDF(rs).At(1.25) + fracEqual(rs, 1.25),
 		Mean:          mean,
-		Median:        stats.Median(finite),
+		Median:        stats.Median(stats.Finite(rs)),
 	}
 }
 

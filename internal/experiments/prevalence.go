@@ -33,11 +33,11 @@ func (r PrevalenceResult) DiscreteSummary() RatioSummary { return SummarizeRatio
 
 // PlainCDF returns the empirical CDF of plain-overlay improvement ratios
 // (the solid curve of Figure 2).
-func (r PrevalenceResult) PlainCDF() *stats.CDF { return stats.NewCDF(finiteOnly(r.PlainRatios)) }
+func (r PrevalenceResult) PlainCDF() *stats.CDF { return stats.NewCDF(stats.Finite(r.PlainRatios)) }
 
 // SplitCDF returns the empirical CDF of split-overlay improvement ratios
 // (the dashed curve of Figure 2).
-func (r PrevalenceResult) SplitCDF() *stats.CDF { return stats.NewCDF(finiteOnly(r.SplitRatios)) }
+func (r PrevalenceResult) SplitCDF() *stats.CDF { return stats.NewCDF(stats.Finite(r.SplitRatios)) }
 
 // RunRealLife reproduces the Section III-A experiment behind Figure 2:
 // every client downloads a 100 MB file from every real-life server, over
@@ -121,18 +121,4 @@ func otherDCs(dcs []string, exclude string) []string {
 		}
 	}
 	return out
-}
-
-func finiteOnly(xs []float64) []float64 {
-	out := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !isInfOrNaN(x) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func isInfOrNaN(x float64) bool {
-	return x != x || x > 1e308 || x < -1e308
 }

@@ -24,13 +24,9 @@ import (
 	"cronets/internal/relay"
 )
 
-const (
-	// dialTimeout bounds each path attempt.
-	dialTimeout = 10 * time.Second
-	// maxAttempts caps how many routes one Dial tries before giving up.
-	// The direct route always stays inside the cap as the last resort.
-	maxAttempts = 3
-)
+// maxAttempts caps how many routes one Dial tries before giving up.
+// The direct route always stays inside the cap as the last resort.
+const maxAttempts = 3
 
 // Config parameterizes a Gateway. Dest is required.
 type Config struct {
@@ -294,7 +290,7 @@ func (g *Gateway) Dial(ctx context.Context) (net.Conn, pathmon.Route, error) {
 // cold dial when the pool misses (or a checked-out socket dies mid
 // handshake), so behaviour degrades to exactly the unpooled route.
 func (g *Gateway) dialRoute(ctx context.Context, r pathmon.Route) (conn net.Conn, pooled bool, err error) {
-	ctx, cancel := context.WithTimeout(ctx, dialTimeout)
+	ctx, cancel := context.WithTimeout(ctx, pipe.DialTimeout)
 	defer cancel()
 	hops := r.Hops()
 	if len(hops) == 0 {

@@ -371,7 +371,7 @@ func TestIdleTimeoutSetting(t *testing.T) {
 
 // TestCloseAbortsDialInFlight: Close with two live flows and a third
 // still dialing returns at once — it cancels the dial instead of waiting
-// out dialTimeout (10 s) — and gives back every goroutine and socket.
+// out pipe.DialTimeout (10 s) — and gives back every goroutine and socket.
 func TestCloseAbortsDialInFlight(t *testing.T) {
 	dest := echoServer(t)
 	check := servertest.CheckLeaks(t)

@@ -107,14 +107,11 @@ type Config struct {
 	// receiver rejects data frames longer than this, so both ends must
 	// agree on it.
 	MaxSegBytes int
-	// WindowSegs bounds unacknowledged segments (default 256); Write
-	// blocks when the window is full.
-	WindowSegs int
 	// MaxBufferedBytes caps the receiver's reassembled-but-unread byte
 	// buffer (default 8 MiB). While over the cap the receiver withholds
 	// cumulative ACKs, so the sender's window closes and a non-reading
 	// application cannot force unbounded buffering; at most one more
-	// window (WindowSegs * MaxSegBytes) arrives past the cap.
+	// window (windowSegs * MaxSegBytes) arrives past the cap.
 	MaxBufferedBytes int
 	// Dialer enables subflow re-establishment: when a subflow dies, the
 	// sender redials it and rejoins the channel. Nil disables reconnect
@@ -141,15 +138,15 @@ func (c *Config) applyDefaults() {
 	if c.MaxSegBytes <= 0 {
 		c.MaxSegBytes = 32 << 10
 	}
-	if c.WindowSegs <= 0 {
-		c.WindowSegs = 256
-	}
 	if c.MaxBufferedBytes <= 0 {
 		c.MaxBufferedBytes = 8 << 20
 	}
 }
 
 const (
+	// windowSegs bounds unacknowledged segments; Write blocks when the
+	// window is full.
+	windowSegs = 256
 	// ackEvery is how many in-order segments the receiver delivers
 	// between cumulative ACKs.
 	ackEvery = 4
@@ -162,10 +159,8 @@ const (
 	// reconnectAttempts caps redial attempts per subflow death.
 	reconnectAttempts = 5
 	// reconnectBackoff is the delay before the first redial attempt,
-	// doubling each attempt with up to 50% added jitter, capped at
-	// maxReconnectBackoff.
-	reconnectBackoff    = 25 * time.Millisecond
-	maxReconnectBackoff = 2 * time.Second
+	// doubling each attempt with up to 50% added jitter.
+	reconnectBackoff = 25 * time.Millisecond
 	// joinTimeout bounds each side of the JOIN handshake.
 	joinTimeout = 5 * time.Second
 )
@@ -227,13 +222,54 @@ func releaseSegLocked(seg *segment) {
 	segPool.Put(seg)
 }
 
+// subflow is one incarnation of a subflow slot, on either end of the
+// channel. A rejoin installs a fresh record in the slot, so a loop, ACK
+// or death that holds a superseded record is recognized by that record,
+// and its counts start at zero.
+type subflow struct {
+	slot int
+	conn net.Conn
+	// wmu keeps each frame's header and body together on conn; hdr is
+	// the header being written, used only under wmu.
+	wmu sync.Mutex
+	hdr [headerSize]byte
+	// dead and the counts are guarded by the Sender's or Receiver's mu.
+	// segs counts the data frames this incarnation has carried: written
+	// by the Sender, received by the Receiver. subAcked is the Sender's
+	// latest sub-ack, the count the Receiver reported on this socket.
+	dead     bool
+	segs     uint64
+	subAcked uint64
+}
+
+// write sends one frame, its header then body (nil for a bare header).
+func (sf *subflow) write(h header, body []byte) error {
+	sf.wmu.Lock()
+	defer sf.wmu.Unlock()
+	h.put(sf.hdr[:])
+	_, err := sf.conn.Write(sf.hdr[:])
+	if err == nil && len(body) > 0 {
+		_, err = sf.conn.Write(body)
+	}
+	return err
+}
+
+// countAlive returns how many slots' current incarnations are alive.
+// Caller holds the mu guarding subs.
+func countAlive(subs []*subflow) int {
+	n := 0
+	for _, sf := range subs {
+		if !sf.dead {
+			n++
+		}
+	}
+	return n
+}
+
 // Sender stripes a byte stream across subflows. It implements
 // io.WriteCloser. Safe for one writer goroutine.
 type Sender struct {
 	cfg Config
-	// wmu serializes writes on each subflow slot so a FIN cannot
-	// interleave with a data frame's header/body pair.
-	wmu []sync.Mutex
 	// ctx ends when Close begins teardown: it stops reconnect loops and
 	// expires a JOIN handshake in flight.
 	ctx    context.Context
@@ -244,22 +280,14 @@ type Sender struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	conns []net.Conn
-	// epoch[i] counts incarnations of subflow slot i: every rejoin bumps
-	// it, so goroutines serving a dead incarnation (or its late frames)
-	// can detect they are stale and stand down.
-	epoch        []uint64
+	mu           sync.Mutex
+	cond         *sync.Cond
+	subs         []*subflow // each slot's current incarnation
 	nextSeq      uint64
 	cumAcked     uint64              // all seq < cumAcked are acknowledged
 	pending      []*segment          // not yet assigned to a subflow
 	inflight     map[uint64]*segment // assigned, unacked
-	sentBy       []uint64            // segments written per subflow incarnation
-	subAckedBy   []uint64            // segments sub-acked per subflow incarnation
-	alive        []bool
-	aliveN       int
-	reconnecting int // subflows with a redial loop in flight
+	reconnecting int                 // subflows with a redial loop in flight
 	closed       bool
 	finSent      bool
 	deadErr      error
@@ -280,29 +308,21 @@ func NewSender(conns []net.Conn, cfg Config) (*Sender, error) {
 	}
 	cfg.applyDefaults()
 	s := &Sender{
-		cfg:        cfg,
-		conns:      append([]net.Conn(nil), conns...),
-		wmu:        make([]sync.Mutex, len(conns)),
-		rng:        rand.New(rand.NewSource(int64(cfg.ChannelID) + 1)),
-		epoch:      make([]uint64, len(conns)),
-		inflight:   make(map[uint64]*segment),
-		sentBy:     make([]uint64, len(conns)),
-		subAckedBy: make([]uint64, len(conns)),
-		alive:      make([]bool, len(conns)),
-		aliveN:     len(conns),
+		cfg:      cfg,
+		subs:     make([]*subflow, len(conns)),
+		rng:      rand.New(rand.NewSource(int64(cfg.ChannelID) + 1)),
+		inflight: make(map[uint64]*segment),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	for i := range s.alive {
-		s.alive[i] = true
-	}
 	s.scope = cfg.Obs.Scope("multipath")
 	s.retransmits = cfg.Obs.Counter("cronets_multipath_retransmits_total",
 		"Segments requeued onto surviving subflows after a subflow death.")
 	s.rejoins = cfg.Obs.Counter("cronets_multipath_rejoins_total",
 		"Dead subflows re-established via the reconnect loop.")
 	s.bytesBy = make([]*obs.Counter, len(conns))
-	for i := range conns {
+	for i, c := range conns {
+		s.subs[i] = &subflow{slot: i, conn: c}
 		s.bytesBy[i] = cfg.Obs.Counter(
 			obs.Label("cronets_multipath_subflow_bytes_total", "subflow", strconv.Itoa(i)),
 			"Payload bytes written per subflow.")
@@ -310,12 +330,17 @@ func NewSender(conns []net.Conn, cfg Config) (*Sender, error) {
 	}
 	s.span = cfg.Tracer.Start("multipath.send", cfg.TraceCtx)
 	s.span.SetDetail(strconv.Itoa(len(conns)) + " subflows")
-	for i, c := range s.conns {
-		s.wg.Add(2)
-		go s.writeLoop(i, 0, c)
-		go s.ackLoop(i, 0, c)
+	for _, sf := range s.subs {
+		s.start(sf)
 	}
 	return s, nil
+}
+
+// start runs an incarnation's worker pair.
+func (s *Sender) start(sf *subflow) {
+	s.wg.Add(2)
+	go s.writeLoop(sf)
+	go s.ackLoop(sf)
 }
 
 // Write stripes p across the subflows, blocking while the unacknowledged
@@ -330,7 +355,7 @@ func (s *Sender) Write(p []byte) (int, error) {
 		seg := newSegment(p[:n])
 		s.mu.Lock()
 		for !s.closed && s.deadErr == nil &&
-			len(s.pending)+len(s.inflight) >= s.cfg.WindowSegs {
+			len(s.pending)+len(s.inflight) >= windowSegs {
 			s.cond.Wait()
 		}
 		if s.closed {
@@ -368,32 +393,38 @@ func (s *Sender) Close() error {
 	s.closed = true
 	finSeq := s.nextSeq
 	s.cond.Broadcast()
+	// ACKs and deaths wake the wait; one timer wakes it at the deadline.
 	deadline := time.Now().Add(closeTimeout)
+	timeout := time.AfterFunc(closeTimeout, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
 	for s.cumAcked < finSeq && s.deadErr == nil && time.Now().Before(deadline) {
-		s.waitWithTimeout(50 * time.Millisecond)
+		s.cond.Wait()
 	}
+	timeout.Stop()
 	err := s.deadErr
 	if err == nil && s.cumAcked < finSeq {
 		err = fmt.Errorf("multipath: close timed out with %d segments unacked", finSeq-s.cumAcked)
 	}
 	s.finSent = true
-	conns := append([]net.Conn(nil), s.conns...)
-	aliveSnapshot := append([]bool(nil), s.alive...)
+	// A dead incarnation's socket is already closed.
+	var live []*subflow
+	for _, sf := range s.subs {
+		if !sf.dead {
+			live = append(live, sf)
+		}
+	}
 	s.mu.Unlock()
 	s.cancel()
 
 	// Send FIN on every alive subflow (receivers tolerate duplicates).
-	fin := make([]byte, headerSize)
-	header{typ: frameFin, seq: finSeq}.put(fin)
-	for i, c := range conns {
-		if aliveSnapshot[i] {
-			s.wmu[i].Lock()
-			_, _ = c.Write(fin)
-			s.wmu[i].Unlock()
-		}
+	for _, sf := range live {
+		_ = sf.write(header{typ: frameFin, seq: finSeq}, nil)
 	}
-	for _, c := range conns {
-		if tc, ok := c.(*net.TCPConn); ok {
+	for _, sf := range live {
+		if tc, ok := sf.conn.(*net.TCPConn); ok {
 			_ = tc.CloseWrite()
 		}
 	}
@@ -401,8 +432,8 @@ func (s *Sender) Close() error {
 	s.mu.Lock()
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
+	for _, sf := range live {
+		_ = sf.conn.Close()
 	}
 	s.wg.Wait()
 	// All worker loops are done (writers == 0 everywhere); recycle any
@@ -421,30 +452,17 @@ func (s *Sender) Close() error {
 	return err
 }
 
-// waitWithTimeout waits on the cond var for at most d. Caller holds s.mu.
-func (s *Sender) waitWithTimeout(d time.Duration) {
-	t := time.AfterFunc(d, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer t.Stop()
-	s.cond.Wait()
-}
-
-// writeLoop pulls segments and writes them on subflow slot i (incarnation
-// epoch, socket conn) until the channel shuts down, the subflow dies, or
-// a rejoin supersedes this incarnation.
-func (s *Sender) writeLoop(i int, epoch uint64, conn net.Conn) {
+// writeLoop pulls segments and writes them on one incarnation of a
+// subflow slot until the channel shuts down or the incarnation dies.
+func (s *Sender) writeLoop(sf *subflow) {
 	defer s.wg.Done()
-	hdr := make([]byte, headerSize)
 	for {
 		s.mu.Lock()
-		for (len(s.pending) == 0 || s.inflightLocked(i) >= subflowInflight) &&
-			!s.doneLocked() && s.alive[i] && s.epoch[i] == epoch {
+		for (len(s.pending) == 0 || sf.segs-sf.subAcked >= subflowInflight) &&
+			!s.doneLocked() && !sf.dead {
 			s.cond.Wait()
 		}
-		if (s.doneLocked() && len(s.pending) == 0) || !s.alive[i] || s.epoch[i] != epoch {
+		if (s.doneLocked() && len(s.pending) == 0) || sf.dead {
 			s.mu.Unlock()
 			return
 		}
@@ -463,19 +481,13 @@ func (s *Sender) writeLoop(i int, epoch uint64, conn net.Conn) {
 			continue
 		}
 		s.inflight[seg.seq] = seg
-		seg.sub = i
-		s.sentBy[i]++
+		seg.sub = sf.slot
+		sf.segs++
 		seg.writers++
 		segLen := len(seg.data)
 		s.mu.Unlock()
 
-		header{typ: frameData, seq: seg.seq, length: uint32(segLen)}.put(hdr)
-		s.wmu[i].Lock()
-		_, err := conn.Write(hdr)
-		if err == nil {
-			_, err = conn.Write(seg.data)
-		}
-		s.wmu[i].Unlock()
+		err := sf.write(header{typ: frameData, seq: seg.seq, length: uint32(segLen)}, seg.data)
 		s.mu.Lock()
 		seg.writers--
 		if seg.acked {
@@ -484,10 +496,10 @@ func (s *Sender) writeLoop(i int, epoch uint64, conn net.Conn) {
 		}
 		s.mu.Unlock()
 		if err != nil {
-			s.subflowDied(i, epoch)
+			s.subflowDied(sf)
 			return
 		}
-		s.bytesBy[i].Add(int64(segLen))
+		s.bytesBy[sf.slot].Add(int64(segLen))
 		s.span.MarkFirstByte()
 		s.span.AddBytes(int64(segLen))
 	}
@@ -498,24 +510,18 @@ func (s *Sender) doneLocked() bool {
 	return (s.closed && s.cumAcked >= s.nextSeq) || s.deadErr != nil || s.finSent
 }
 
-// inflightLocked returns the subflow's unacknowledged segment count.
-// Caller holds s.mu.
-func (s *Sender) inflightLocked(i int) int {
-	return int(s.sentBy[i] - s.subAckedBy[i])
-}
-
-// ackLoop reads cumulative ACKs arriving on subflow slot i's incarnation.
-func (s *Sender) ackLoop(i int, epoch uint64, conn net.Conn) {
+// ackLoop reads the ACKs and sub-acks arriving on one incarnation.
+func (s *Sender) ackLoop(sf *subflow) {
 	defer s.wg.Done()
 	hdr := make([]byte, headerSize)
 	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
-			s.subflowDied(i, epoch)
+		if _, err := io.ReadFull(sf.conn, hdr); err != nil {
+			s.subflowDied(sf)
 			return
 		}
 		h, err := parseHeader(hdr, s.cfg.MaxSegBytes)
 		if err != nil || (h.typ != frameAck && h.typ != frameSubAck) {
-			s.subflowDied(i, epoch)
+			s.subflowDied(sf)
 			return
 		}
 		value := h.seq
@@ -534,10 +540,8 @@ func (s *Sender) ackLoop(i int, epoch uint64, conn net.Conn) {
 				s.cond.Broadcast()
 			}
 		case frameSubAck:
-			// Sub-ack counts are per incarnation; a stale epoch's count
-			// must not corrupt the fresh socket's inflight accounting.
-			if s.epoch[i] == epoch && value > s.subAckedBy[i] {
-				s.subAckedBy[i] = value
+			if value > sf.subAcked {
+				sf.subAcked = value
 				s.cond.Broadcast()
 			}
 		}
@@ -545,48 +549,53 @@ func (s *Sender) ackLoop(i int, epoch uint64, conn net.Conn) {
 	}
 }
 
-// subflowDied marks incarnation epoch of subflow i dead, requeues its
-// unacknowledged segments for retransmission on the survivors, and — with
-// a Dialer configured — starts the reconnect loop. After the FIN has been
-// sent the channel is tearing down and conns closing is not a failure.
-func (s *Sender) subflowDied(i int, epoch uint64) {
+// subflowDied marks an incarnation dead, requeues its unacknowledged
+// segments for retransmission on the survivors, and — with a Dialer
+// configured — starts the reconnect loop. After the FIN has been sent the
+// channel is tearing down and conns closing is not a failure.
+func (s *Sender) subflowDied(sf *subflow) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.epoch[i] != epoch || !s.alive[i] || s.finSent {
+	if sf.dead || s.finSent {
 		return
 	}
-	s.alive[i] = false
-	s.aliveN--
-	_ = s.conns[i].Close() // wake the peer's reader promptly
+	sf.dead = true
+	_ = sf.conn.Close() // wake the peer's reader promptly
 	var requeue []*segment
 	for seq, seg := range s.inflight {
-		if seg.sub == i {
+		if seg.sub == sf.slot {
 			requeue = append(requeue, seg)
 			delete(s.inflight, seq)
 		}
 	}
-	s.sentBy[i] = 0
-	s.subAckedBy[i] = 0
 	// Retransmissions go to the front, lowest sequence first.
 	slices.SortFunc(requeue, func(a, b *segment) int { return cmp.Compare(a.seq, b.seq) })
 	s.pending = append(requeue, s.pending...)
 	if s.cfg.Dialer != nil && !s.closed {
 		s.reconnecting++
 		s.wg.Add(1)
-		go s.reconnectLoop(i)
+		go s.reconnectLoop(sf.slot)
 	}
-	if s.aliveN == 0 && s.reconnecting == 0 &&
+	alive := countAlive(s.subs)
+	s.failIfDeadLocked(alive)
+	s.retransmits.Add(int64(len(requeue)))
+	s.scope.Event(obs.EventSubflowDown,
+		fmt.Sprintf("subflow %d down, %d alive", sf.slot, alive))
+	if len(requeue) > 0 {
+		s.scope.Event(obs.EventRetransmit,
+			fmt.Sprintf("%d segments requeued from subflow %d", len(requeue), sf.slot))
+	}
+}
+
+// failIfDeadLocked delivers the all-dead verdict when no subflow is alive,
+// no redial is in flight, and data remains to carry or may still be
+// written, and wakes every waiter. Caller holds s.mu.
+func (s *Sender) failIfDeadLocked(alive int) {
+	if alive == 0 && s.reconnecting == 0 && s.deadErr == nil &&
 		(len(s.pending) > 0 || len(s.inflight) > 0 || !s.closed) {
 		s.deadErr = ErrAllSubflowsDead
 	}
 	s.cond.Broadcast()
-	s.retransmits.Add(int64(len(requeue)))
-	s.scope.Event(obs.EventSubflowDown,
-		fmt.Sprintf("subflow %d down, %d alive", i, s.aliveN))
-	if len(requeue) > 0 {
-		s.scope.Event(obs.EventRetransmit,
-			fmt.Sprintf("%d segments requeued from subflow %d", len(requeue), i))
-	}
 }
 
 // reconnectLoop redials subflow i with exponential backoff + jitter,
@@ -594,17 +603,15 @@ func (s *Sender) subflowDied(i int, epoch uint64) {
 // service. It gives up after reconnectAttempts or when the sender closes.
 func (s *Sender) reconnectLoop(i int) {
 	defer s.wg.Done()
+	defer s.reconnectDone()
 	backoff := reconnectBackoff
 	for attempt := 1; attempt <= reconnectAttempts; attempt++ {
 		select {
 		case <-s.ctx.Done():
-			s.reconnectDone(false)
 			return
 		case <-time.After(backoff + s.backoffJitter(backoff)):
 		}
-		if backoff < maxReconnectBackoff {
-			backoff *= 2
-		}
+		backoff *= 2
 		conn, err := s.cfg.Dialer(i)
 		if err != nil {
 			s.scope.Logger().Debug("subflow redial failed",
@@ -620,26 +627,18 @@ func (s *Sender) reconnectLoop(i int) {
 		if !s.install(i, conn) {
 			// The channel closed while we were dialing.
 			_ = conn.Close()
-			s.reconnectDone(false)
-			return
 		}
-		s.reconnectDone(true)
 		return
 	}
-	s.reconnectDone(false)
 }
 
-// reconnectDone retires one redial loop; if it failed and nothing else can
-// revive the channel, the all-dead verdict is delivered.
-func (s *Sender) reconnectDone(ok bool) {
+// reconnectDone retires one redial loop; if nothing else can revive the
+// channel, the all-dead verdict is delivered.
+func (s *Sender) reconnectDone() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reconnecting--
-	if !ok && s.aliveN == 0 && s.reconnecting == 0 && s.deadErr == nil &&
-		(len(s.pending) > 0 || len(s.inflight) > 0 || !s.closed) {
-		s.deadErr = ErrAllSubflowsDead
-	}
-	s.cond.Broadcast()
+	s.failIfDeadLocked(countAlive(s.subs))
 }
 
 // joinHandshake identifies the reconnected socket to the receiver:
@@ -672,29 +671,19 @@ func (s *Sender) joinHandshake(conn net.Conn, i int) error {
 	return nil
 }
 
-// install puts a rejoined socket back into subflow slot i, bumping the
-// slot's epoch and restarting its worker pair.
+// install puts a rejoined socket into subflow slot i as a fresh
+// incarnation and starts its worker pair.
 func (s *Sender) install(i int, conn net.Conn) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed || s.finSent || s.deadErr != nil {
-		s.mu.Unlock()
 		return false
 	}
-	s.conns[i] = conn
-	s.epoch[i]++
-	epoch := s.epoch[i]
-	s.alive[i] = true
-	s.aliveN++
-	s.sentBy[i] = 0
-	s.subAckedBy[i] = 0
-	s.wg.Add(2)
+	s.subs[i] = &subflow{slot: i, conn: conn}
+	s.start(s.subs[i])
 	s.cond.Broadcast()
-	s.mu.Unlock()
 	s.rejoins.Inc()
-	s.scope.Event(obs.EventSubflowRejoin,
-		fmt.Sprintf("subflow %d rejoined (epoch %d)", i, epoch))
-	go s.writeLoop(i, epoch, conn)
-	go s.ackLoop(i, epoch, conn)
+	s.scope.Event(obs.EventSubflowRejoin, "subflow "+strconv.Itoa(i)+" rejoined")
 	return true
 }
 
@@ -719,5 +708,5 @@ func (s *Sender) CumAcked() uint64 {
 func (s *Sender) AliveSubflows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.aliveN
+	return countAlive(s.subs)
 }

@@ -301,7 +301,7 @@ func TestConcurrentlyInterleavedSegments(t *testing.T) {
 	// Tiny segments over many subflows maximize reordering pressure.
 	s, r := pipes(8)
 	payload := randomPayload(11, 512<<10)
-	got := transfer(t, s, r, payload, Config{MaxSegBytes: 512, WindowSegs: 2048})
+	got := transfer(t, s, r, payload, Config{MaxSegBytes: 512})
 	if !bytes.Equal(got, payload) {
 		t.Error("payload corrupted under heavy interleaving")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -19,21 +20,12 @@ import (
 // accepts a reconnected subflow's socket back into the channel.
 type Receiver struct {
 	cfg Config
-	// wmu serializes ACK writes per subflow slot; ackBuf[i] is the slot's
-	// reusable ACK frame, valid only while wmu[i] is held.
-	wmu    []sync.Mutex
-	ackBuf [][]byte
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	conns []net.Conn
-	// epoch[i] counts incarnations of subflow slot i (see Sender.epoch):
-	// frames and deaths from a superseded socket are recognized as stale.
-	epoch    []uint64
-	alive    []bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	subs     []*subflow // each slot's current incarnation
 	reorder  map[uint64][]byte
-	recvBy   []uint64 // segments received per subflow incarnation
-	expected uint64   // next in-order sequence to deliver
+	expected uint64 // next in-order sequence to deliver
 	// delivered is the in-order queue of pooled segments awaiting Read;
 	// deliveredOff is Read's offset into delivered[0], deliveredBytes the
 	// queue's total unread payload. Segments return to the buffer pool as
@@ -45,10 +37,10 @@ type Receiver struct {
 	finSeen        bool
 	sinceAck       int
 	// ackHeld marks a cumulative ACK withheld because delivered exceeded
-	// MaxBufferedBytes; Read releases it once the application drains.
+	// MaxBufferedBytes; Read releases it on ackHeldOn once the
+	// application drains.
 	ackHeld   bool
-	ackHeldOn int
-	deadN     int
+	ackHeldOn *subflow
 	failed    error
 	closed    bool
 	wg        sync.WaitGroup
@@ -67,16 +59,11 @@ func NewReceiver(conns []net.Conn, cfg Config) (*Receiver, error) {
 	cfg.applyDefaults()
 	r := &Receiver{
 		cfg:     cfg,
-		conns:   append([]net.Conn(nil), conns...),
-		wmu:     make([]sync.Mutex, len(conns)),
-		ackBuf:  make([][]byte, len(conns)),
-		epoch:   make([]uint64, len(conns)),
-		alive:   make([]bool, len(conns)),
+		subs:    make([]*subflow, len(conns)),
 		reorder: make(map[uint64][]byte),
-		recvBy:  make([]uint64, len(conns)),
 	}
-	for i := range r.ackBuf {
-		r.ackBuf[i] = make([]byte, headerSize)
+	for i, c := range conns {
+		r.subs[i] = &subflow{slot: i, conn: c}
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.scope = cfg.Obs.Scope("multipath")
@@ -84,10 +71,9 @@ func NewReceiver(conns []net.Conn, cfg Config) (*Receiver, error) {
 		"Segments parked in the receiver's reassembly queue.")
 	r.span = cfg.Tracer.Continue("multipath.recv", cfg.TraceCtx)
 	r.span.SetDetail(strconv.Itoa(len(conns)) + " subflows")
-	for i, c := range r.conns {
-		r.alive[i] = true
+	for _, sf := range r.subs {
 		r.wg.Add(1)
-		go r.readLoop(c, i, 0)
+		go r.readLoop(sf)
 	}
 	return r, nil
 }
@@ -155,11 +141,11 @@ func (r *Receiver) Close() error {
 		return nil
 	}
 	r.closed = true
-	conns := append([]net.Conn(nil), r.conns...)
+	subs := slices.Clone(r.subs)
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
+	for _, sf := range subs {
+		_ = sf.conn.Close()
 	}
 	r.wg.Wait()
 	// All readLoops are done; return parked and undelivered segments to
@@ -201,7 +187,7 @@ func (r *Receiver) Join(conn net.Conn) error {
 	}
 	channel, idx := h.seq, int(h.length)
 	r.mu.Lock()
-	ok := !r.closed && channel == r.cfg.ChannelID && idx >= 0 && idx < len(r.conns)
+	ok := !r.closed && channel == r.cfg.ChannelID && idx >= 0 && idx < len(r.subs)
 	r.mu.Unlock()
 	if !ok {
 		_ = conn.Close()
@@ -219,15 +205,11 @@ func (r *Receiver) Join(conn net.Conn) error {
 		_ = conn.Close()
 		return net.ErrClosed
 	}
-	old := r.conns[idx]
-	r.conns[idx] = conn
-	r.epoch[idx]++
-	epoch := r.epoch[idx]
-	if !r.alive[idx] {
-		r.alive[idx] = true
-		r.deadN--
-	}
-	r.recvBy[idx] = 0
+	// The superseded incarnation is dead: its loop's exit is no death.
+	old := r.subs[idx]
+	old.dead = true
+	sf := &subflow{slot: idx, conn: conn}
+	r.subs[idx] = sf
 	// A rejoin can revive a channel declared dead before the application
 	// observed the failure.
 	if r.failed == ErrAllSubflowsDead {
@@ -236,41 +218,38 @@ func (r *Receiver) Join(conn net.Conn) error {
 	r.wg.Add(1)
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	if old != nil && old != conn {
-		_ = old.Close()
-	}
-	r.scope.Event(obs.EventSubflowRejoin,
-		fmt.Sprintf("subflow %d rejoined (epoch %d)", idx, epoch))
-	go r.readLoop(conn, idx, epoch)
+	_ = old.conn.Close()
+	r.scope.Event(obs.EventSubflowRejoin, "subflow "+strconv.Itoa(idx)+" rejoined")
+	go r.readLoop(sf)
 	return nil
 }
 
-// readLoop consumes frames from one incarnation of subflow slot i.
-func (r *Receiver) readLoop(conn net.Conn, i int, epoch uint64) {
+// readLoop consumes frames from one incarnation of a subflow slot.
+func (r *Receiver) readLoop(sf *subflow) {
 	defer r.wg.Done()
 	hdr := make([]byte, headerSize)
 	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
-			r.subflowDied(i, epoch)
+		if _, err := io.ReadFull(sf.conn, hdr); err != nil {
+			r.subflowDied(sf)
 			return
 		}
 		// parseHeader refuses a data frame over MaxSegBytes, so the
 		// payload buffer below is never fetched for an oversized claim.
 		h, err := parseHeader(hdr, r.cfg.MaxSegBytes)
 		if err != nil || (h.typ != frameData && h.typ != frameFin) {
-			_ = conn.Close()
-			r.subflowDied(i, epoch)
+			_ = sf.conn.Close()
+			r.subflowDied(sf)
 			return
 		}
 		switch h.typ {
 		case frameData:
 			data := pipe.Get(int(h.length))
-			if _, err := io.ReadFull(conn, data); err != nil {
+			if _, err := io.ReadFull(sf.conn, data); err != nil {
 				pipe.Put(data)
-				r.subflowDied(i, epoch)
+				r.subflowDied(sf)
 				return
 			}
-			r.ingest(i, epoch, h.seq, data)
+			r.ingest(sf, h.seq, data)
 		case frameFin:
 			r.mu.Lock()
 			r.finSeen = true
@@ -278,27 +257,23 @@ func (r *Receiver) readLoop(conn net.Conn, i int, epoch uint64) {
 			r.cond.Broadcast()
 			r.mu.Unlock()
 			// Final ACK so the sender's Close completes promptly.
-			r.sendAck(i)
+			r.sendAck(sf)
 		}
 	}
 }
 
-// ingest stores a segment, advances the in-order point, and acks: a
-// subflow-level ack immediately (it keeps the subflow's window moving) and
-// a connection-level cumulative ack every ackEvery deliveries — unless the
-// application has stopped reading and delivered is over the buffer cap,
-// in which case the cumulative ack is withheld until Read drains.
-func (r *Receiver) ingest(i int, epoch uint64, seq uint64, data []byte) {
+// ingest stores a segment that arrived on sf, advances the in-order
+// point, and acks on sf: a subflow-level ack immediately (it keeps the
+// subflow's window moving) and a connection-level cumulative ack every
+// ackEvery deliveries — unless the application has stopped reading and
+// delivered is over the buffer cap, in which case the cumulative ack is
+// withheld until Read drains. A frame from a superseded incarnation is
+// still ingested (the reorder buffer dedups it); its sub-ack reports
+// sf's own count on sf's own socket, never on a successor's.
+func (r *Receiver) ingest(sf *subflow, seq uint64, data []byte) {
 	r.mu.Lock()
-	// Data frames are valid regardless of which incarnation carried them
-	// (the sender retransmits anything unacked), but per-incarnation
-	// sub-ack counts from a stale socket must not reach the fresh one.
-	current := r.epoch[i] == epoch
-	var subCount uint64
-	if current {
-		r.recvBy[i]++
-		subCount = r.recvBy[i]
-	}
+	sf.segs++
+	subCount := sf.segs
 	if seq >= r.expected {
 		if _, dup := r.reorder[seq]; !dup {
 			r.reorder[seq] = data
@@ -331,7 +306,7 @@ func (r *Receiver) ingest(i int, epoch uint64, seq uint64, data []byte) {
 	needAck := r.sinceAck >= ackEvery || (advanced && len(r.reorder) == 0)
 	if needAck && r.deliveredBytes > r.cfg.MaxBufferedBytes {
 		r.ackHeld = true
-		r.ackHeldOn = i
+		r.ackHeldOn = sf
 		needAck = false
 	}
 	if needAck {
@@ -342,77 +317,49 @@ func (r *Receiver) ingest(i int, epoch uint64, seq uint64, data []byte) {
 	}
 	r.reorderDepth.Set(int64(len(r.reorder)))
 	r.mu.Unlock()
-	if current {
-		r.sendSubAck(i, subCount)
-	}
+	_ = sf.write(header{typ: frameSubAck, seq: subCount}, nil)
 	if needAck {
-		r.sendAck(i)
+		r.sendAck(sf)
 	}
 }
 
-// sendSubAck reports how many segments have arrived on subflow i, on that
-// subflow.
-func (r *Receiver) sendSubAck(i int, count uint64) {
+// sendAck emits a cumulative ACK on sf, falling back to the other slots'
+// current incarnations if that write fails.
+func (r *Receiver) sendAck(sf *subflow) {
 	r.mu.Lock()
-	conn := r.conns[i]
+	ack := header{typ: frameAck, seq: r.expected}
 	r.mu.Unlock()
-	_ = r.writeAck(i, conn, frameSubAck, count)
-}
-
-// sendAck emits a cumulative ACK on subflow i (falling back to any other
-// subflow if that write fails).
-func (r *Receiver) sendAck(i int) {
-	r.mu.Lock()
-	cum := r.expected
-	conn := r.conns[i]
-	n := len(r.conns)
-	r.mu.Unlock()
-	if r.writeAck(i, conn, frameAck, cum) == nil {
+	if sf.write(ack, nil) == nil {
 		return
 	}
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
+	for i := range r.subs {
 		r.mu.Lock()
-		c := r.conns[j]
+		other := r.subs[i]
 		r.mu.Unlock()
-		if r.writeAck(j, c, frameAck, cum) == nil {
+		if other != sf && other.write(ack, nil) == nil {
 			return
 		}
 	}
 }
 
-// writeAck fills subflow i's reusable ACK frame and writes it under the
-// slot's write lock.
-func (r *Receiver) writeAck(i int, conn net.Conn, frameType byte, value uint64) error {
-	r.wmu[i].Lock()
-	defer r.wmu[i].Unlock()
-	ack := r.ackBuf[i]
-	header{typ: frameType, seq: value}.put(ack)
-	_, err := conn.Write(ack)
-	return err
-}
-
-// subflowDied records a reader failure for one incarnation; stale
-// incarnations (already superseded by a Join) are ignored, orderly
-// teardown (Close, or FIN satisfied) is not a failure, and the stream
-// fails only when every subflow is gone.
-func (r *Receiver) subflowDied(i int, epoch uint64) {
+// subflowDied records a reader failure for one incarnation; superseded
+// incarnations (dead since their Join) are ignored, orderly teardown
+// (Close, or FIN satisfied) is not a failure, and the stream fails only
+// when every subflow is gone.
+func (r *Receiver) subflowDied(sf *subflow) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.epoch[i] != epoch || !r.alive[i] {
+	if sf.dead {
 		return
 	}
-	r.alive[i] = false
-	r.deadN++
+	sf.dead = true
 	if r.closed || (r.finSeen && r.expected >= r.finSeq) {
 		r.cond.Broadcast()
 		return
 	}
-	r.scope.Event(obs.EventSubflowDown,
-		"receive side, "+strconv.Itoa(len(r.conns)-r.deadN)+" alive")
-	if r.deadN >= len(r.conns) && r.failed == nil {
+	alive := countAlive(r.subs)
+	r.scope.Event(obs.EventSubflowDown, "receive side, "+strconv.Itoa(alive)+" alive")
+	if alive == 0 && r.failed == nil {
 		r.failed = ErrAllSubflowsDead
 	}
 	r.cond.Broadcast()

@@ -266,7 +266,6 @@ func TestReceiverBackpressure(t *testing.T) {
 	sConns, rConns := tcpPairs(t, 1)
 	cfg := Config{
 		MaxSegBytes:      4 << 10,
-		WindowSegs:       4,
 		MaxBufferedBytes: 32 << 10,
 	}
 	s, err := NewSender(sConns, cfg)
@@ -279,7 +278,7 @@ func TestReceiverBackpressure(t *testing.T) {
 	}
 	defer r.Close()
 
-	payload := randomPayload(31, 1<<20)
+	payload := randomPayload(31, 4<<20)
 	writeDone := make(chan error, 1)
 	go func() {
 		if _, err := s.Write(payload); err != nil {
@@ -290,8 +289,8 @@ func TestReceiverBackpressure(t *testing.T) {
 	}()
 
 	// Without a reader, the buffer must plateau at cap + window, far
-	// below the 1 MiB payload. Pre-fix it absorbed everything.
-	limit := cfg.MaxBufferedBytes + cfg.WindowSegs*cfg.MaxSegBytes + cfg.MaxSegBytes
+	// below the 4 MiB payload. Pre-fix it absorbed everything.
+	limit := cfg.MaxBufferedBytes + windowSegs*cfg.MaxSegBytes + cfg.MaxSegBytes
 	time.Sleep(300 * time.Millisecond)
 	if buf := r.Buffered(); buf > limit {
 		t.Fatalf("unread delivered buffer = %d bytes, want <= %d (flow control missing)", buf, limit)
@@ -483,4 +482,58 @@ func TestCloseExpiresUnansweredJoin(t *testing.T) {
 	_ = joining.Close()
 	_ = ln.Close()
 	check()
+}
+
+// TestRejoinCountsAfresh: a Join starts a fresh incarnation of its slot.
+// The sub-ack for a segment leaves on the socket that carried it and
+// counts only that socket's segments, so the rejoined socket's first
+// sub-ack is 1 whatever the superseded socket had counted.
+func TestRejoinCountsAfresh(t *testing.T) {
+	sOld, rOld := tcpPairs(t, 1)
+	r, err := NewReceiver(rOld, Config{ChannelID: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	send := func(c net.Conn, h header, body []byte) {
+		b := make([]byte, headerSize, headerSize+len(body))
+		h.put(b)
+		if _, err := c.Write(append(b, body...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// next reads the next frame of type typ on c, skipping the others.
+	next := func(c net.Conn, typ byte) header {
+		b := make([]byte, headerSize)
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			if _, err := io.ReadFull(c, b); err != nil {
+				t.Fatal(err)
+			}
+			if h, err := parseHeader(b, 32<<10); err != nil || h.typ == typ {
+				return h
+			}
+		}
+	}
+
+	for seq := uint64(0); seq < 3; seq++ {
+		send(sOld[0], header{typ: frameData, seq: seq, length: 1}, []byte{byte(seq)})
+		if got := next(sOld[0], frameSubAck).seq; got != seq+1 {
+			t.Fatalf("sub-ack %d on the first socket = %d", seq+1, got)
+		}
+	}
+	sNew, rNew := tcpPairs(t, 1)
+	send(sNew[0], header{typ: frameJoin, seq: 3}, nil)
+	if err := r.Join(rNew[0]); err != nil {
+		t.Fatal(err)
+	}
+	next(sNew[0], frameJoin)
+	send(sNew[0], header{typ: frameData, seq: 3, length: 1}, []byte{3})
+	if got := next(sNew[0], frameSubAck).seq; got != 1 {
+		t.Errorf("first sub-ack on the rejoined socket = %d, want 1", got)
+	}
+	got := make([]byte, 4)
+	if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, []byte{0, 1, 2, 3}) {
+		t.Errorf("read %v (%v), want [0 1 2 3]", got, err)
+	}
 }

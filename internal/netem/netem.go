@@ -194,7 +194,7 @@ func (p *Proxy) Close() error {
 }
 
 func (p *Proxy) handle(idx int64, down net.Conn) {
-	ctx, cancel := context.WithTimeout(p.srv.Context(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(p.srv.Context(), pipe.DialTimeout)
 	var d net.Dialer
 	up, err := d.DialContext(ctx, "tcp", p.target)
 	cancel()

@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// DialTimeout is the one dial bound: every dial on the overlay, and each
+// chain hop whose context carries no deadline, gives up after it.
+const DialTimeout = 10 * time.Second
+
 // Expired is a deadline long past: set on a conn, it fails the I/O in
 // flight at once, and all I/O after it until the deadline is cleared.
 var Expired = time.Unix(1, 0)

@@ -118,9 +118,6 @@ type Relay struct {
 	srv pipe.Server
 }
 
-// dialTimeout bounds each upstream dial attempt.
-const dialTimeout = 10 * time.Second
-
 // errACLRejected marks a CONNECT refusal so serveConn can count it in
 // Stats.Rejected rather than Stats.Errors.
 var errACLRejected = errors.New("relay: target forbidden by ACL")
@@ -267,7 +264,7 @@ func (r *Relay) handle(down net.Conn) error {
 	var br *bufio.Reader
 	if target == "" {
 		// CONNECT handshake: "CONNECT host:port [TP=<ctx>]\n" -> "OK\n".
-		// The read deadline is the relay's IdleTimeout, not dialTimeout:
+		// The read deadline is the relay's IdleTimeout, not pipe.DialTimeout:
 		// a pooled pre-CONNECT socket legitimately sits quiet until its
 		// owner checks it out, and only then sends the preamble.
 		br = bufio.NewReaderSize(down, connectLineBytes)
@@ -408,7 +405,7 @@ func (r *Relay) watchAbort(down net.Conn, br *bufio.Reader, cancel context.Cance
 func (r *Relay) dialUpstream(ctx context.Context, target string) (net.Conn, error) {
 	backoff := r.cfg.DialRetryBackoff
 	for attempt := 0; ; attempt++ {
-		dialCtx, cancel := context.WithTimeout(ctx, dialTimeout)
+		dialCtx, cancel := context.WithTimeout(ctx, pipe.DialTimeout)
 		dialStart := time.Now()
 		up, err := r.cfg.Dialer.DialContext(dialCtx, "tcp", target)
 		cancel()

@@ -277,17 +277,16 @@ func ImprovementRatio(overlay, direct float64) float64 {
 	return overlay / direct
 }
 
-// IncreaseRatio returns (overlay-direct)/direct, the quantity plotted on the
-// Y axis of Figure 11. A non-positive direct value yields +Inf when overlay
-// is larger and 0 otherwise.
-func IncreaseRatio(overlay, direct float64) float64 {
-	if direct <= 0 {
-		if overlay > direct {
-			return math.Inf(1)
+// Finite returns the finite elements of xs in order, dropping the
+// infinite ratios of zero-throughput direct paths and any NaN.
+func Finite(xs []float64) []float64 {
+	out := make([]float64, 0, len(xs))
+	for _, x := range xs {
+		if !math.IsInf(x, 0) && !math.IsNaN(x) {
+			out = append(out, x)
 		}
-		return 0
 	}
-	return (overlay - direct) / direct
+	return out
 }
 
 // MeanFinite returns the mean over the finite elements of xs, guarding the

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -257,12 +258,13 @@ func TestImprovementRatio(t *testing.T) {
 	}
 }
 
-func TestIncreaseRatio(t *testing.T) {
-	if got := IncreaseRatio(15, 5); got != 2 {
-		t.Errorf("increase = %v, want 2", got)
+func TestFinite(t *testing.T) {
+	got := Finite([]float64{1, math.Inf(1), -2, math.NaN(), math.Inf(-1), math.MaxFloat64})
+	if want := []float64{1, -2, math.MaxFloat64}; !slices.Equal(got, want) {
+		t.Errorf("Finite = %v, want %v", got, want)
 	}
-	if got := IncreaseRatio(5, 0); !math.IsInf(got, 1) {
-		t.Errorf("increase with zero direct = %v", got)
+	if got := Finite(nil); len(got) != 0 {
+		t.Errorf("Finite(nil) = %v", got)
 	}
 }
 

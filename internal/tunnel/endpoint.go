@@ -109,7 +109,6 @@ type OverlayNode struct {
 	decap *obs.Counter // packets decapsulated out of the tunnel
 	scope *obs.Scope
 
-	stop chan struct{}
 	done sync.WaitGroup
 
 	mu       sync.Mutex
@@ -124,7 +123,6 @@ func NewOverlayNode(tunnelSide io.ReadWriter, external netip.Addr, network Packe
 		tunnel: NewEndpoint(tunnelSide),
 		nat:    NewNAT(external),
 		net:    network,
-		stop:   make(chan struct{}),
 	}
 }
 
@@ -210,7 +208,6 @@ func (o *OverlayNode) recordErr(err error) {
 // Close shuts the node down and waits for the pumps to exit. It returns
 // the first pump error, if any, once both pumps stopped.
 func (o *OverlayNode) Close() error {
-	close(o.stop)
 	_ = o.tunnel.Close()
 	if c, ok := o.net.(io.Closer); ok {
 		_ = c.Close()
